@@ -4,9 +4,11 @@
 #include <fstream>
 #include <sstream>
 
-#include "fuzz/json.hpp"
+#include "util/json.hpp"
 
 namespace wfd::fuzz {
+
+using util::Json;
 
 namespace {
 

@@ -5,11 +5,13 @@
 // std::barrier) before any state at distance d+1. Deduplication goes through
 // a lock-free seen-set keyed by the model's packed state code — either the
 // classic 64-bit open-addressing table or, for models that declare
-// `code_bits()`, the bucketized 32-bit compact table (seen.hpp). Tables are
-// pre-sized from CheckOptions::expected_states and otherwise grown
-// stop-the-world at the level barrier — the only quiescent point, which is
-// also what makes the resize safe without hazard pointers (no worker holds
-// a slot reference across a barrier).
+// `code_bits()`, the bucketized 32-bit compact table (seen.hpp), whichever
+// is smaller at the current fill. The table is grown stop-the-world at the
+// level barrier — the only quiescent point, which is also what makes the
+// resize (and a switch from the classic to the compact table) safe without
+// hazard pointers: no worker holds a slot reference across a barrier.
+// CheckOptions::expected_states only pre-sizes it; without the hint the
+// table still ends in the smaller representation, reached by growth.
 //
 // The frontier itself is a hash-partitioned store of bit-packed code
 // segments (frontier.hpp) that can spill to temp files past
@@ -252,7 +254,7 @@ CheckResult run_check(const M& model, const CheckOptions& options = {}) {
   // consistently no matter how the exploration ended (clean cover,
   // violation, budget, or a model-error early out).
   const auto seal = [&](std::uint64_t graph_bytes) {
-    result.seen_bytes = seen.bytes();
+    result.seen_bytes = seen.peak_bytes();
     result.graph_bytes = graph_bytes;
     result.frontier_peak_bytes = frontier.peak_bytes();
     result.spilled_bytes = frontier.spilled_bytes();

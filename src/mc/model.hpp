@@ -86,9 +86,12 @@ struct CheckOptions {
   int threads = 0;
   /// Abort (verdict = kBudgetExceeded) past this count.
   std::uint64_t max_states = 50'000'000;
-  /// Pre-size hint for the seen-set (reachable-state estimate). 0 = unknown;
-  /// the table then starts small and grows at level barriers. Sweep runners
-  /// forward this from campaign metadata so big runs never rehash.
+  /// Pre-size hint for the seen-set (reachable-state estimate), never a
+  /// requirement. 0 = unknown: the table starts small and grows at level
+  /// barriers, switching to the compact representation once that is the
+  /// smaller one, so an unhinted run ends in the representation a hinted
+  /// run starts with. Sweep runners forward this from campaign metadata so
+  /// big runs skip the rebuilds.
   std::uint64_t expected_states = 0;
   /// Optional metrics registry: the engine registers mc.states /
   /// mc.transitions / mc.levels counters, an mc.level_states_per_sec and a
@@ -118,7 +121,8 @@ struct CheckResult {
   std::string counterexample;     ///< violation / witness cycle, readable
   double wall_ms = 0.0;           ///< exploration wall time
   int threads = 1;                ///< worker threads actually used
-  std::uint64_t seen_bytes = 0;   ///< peak seen-set footprint
+  std::uint64_t seen_bytes = 0;   ///< peak seen-set footprint (a rebuild
+                                  ///< counts the old and new table)
   std::uint64_t graph_bytes = 0;  ///< CSR reachable-graph footprint (0 if
                                   ///< the model has no analyze hook)
   Reduction reduction = Reduction::kNone;  ///< reduction level actually run

@@ -17,10 +17,15 @@
 //    bucket-overflow falls back to a small mutex-guarded stash (set
 //    semantics keep the exploration deterministic either way).
 //
-// SeenIndex picks whichever representation is smaller for the model's
-// declared code width and the caller's expected-states hint.
+// SeenIndex applies one rule — the smaller table for the model's code width
+// at the target fill — at construction (target = the expected-states hint)
+// and again at every growth (target = fill + projected inserts), moving the
+// keys from the classic into the compact table when the rule flips. Tables
+// of 2MB or more are their own anonymous mappings, so a freed table's pages
+// leave the process instead of lingering in the allocator's heap.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cstdint>
@@ -59,9 +64,29 @@ inline constexpr std::uint64_t kReservedKey = ~0ull;
 /// (a 2^25-slot table spans 65k 4K pages but only 128 huge ones).
 inline constexpr std::size_t kHugePage = 2 * 1024 * 1024;
 
-/// 2MB-aligned allocation of plain slots, advised towards huge pages. Plain
-/// storage + std::atomic_ref on the probe path keeps initialization a single
-/// memset.
+#if defined(__linux__)
+/// An anonymous mapping of `length` (a kHugePage multiple) bytes at a
+/// kHugePage boundary, advised towards huge pages. Maps one extra huge page
+/// and trims the misaligned head and tail.
+inline void* map_huge_aligned(std::size_t length) {
+  void* raw = mmap(nullptr, length + kHugePage, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (raw == MAP_FAILED) throw std::bad_alloc();
+  const auto base = reinterpret_cast<std::uintptr_t>(raw);
+  const std::uintptr_t aligned = (base + kHugePage - 1) & ~(kHugePage - 1);
+  const std::size_t head = aligned - base;  // < kHugePage: a tail remains
+  if (head > 0) munmap(raw, head);
+  munmap(reinterpret_cast<void*>(aligned + length), kHugePage - head);
+  madvise(reinterpret_cast<void*>(aligned), length, MADV_HUGEPAGE);
+  return reinterpret_cast<void*>(aligned);
+}
+#endif
+
+/// Zero-filled storage for a table's plain slots (std::atomic_ref on the
+/// probe path). A slab of kHugePage bytes or more is its own anonymous
+/// mapping: 2MB-aligned, advised towards huge pages, zero without a memset,
+/// and unmapped on release, so its pages leave the process with it. Smaller
+/// slabs come from the heap, cache-line aligned and cleared here.
 template <class T>
 struct Slab {
   T* data = nullptr;
@@ -69,11 +94,14 @@ struct Slab {
 
   Slab() = default;
   explicit Slab(std::size_t n) : count(n) {
-    const std::size_t size = n * sizeof(T);
-    data = static_cast<T*>(::operator new(size, std::align_val_t{kHugePage}));
 #if defined(__linux__)
-    if (size >= kHugePage) madvise(data, size, MADV_HUGEPAGE);
+    if (mapped()) {
+      data = static_cast<T*>(map_huge_aligned(mapped_length()));
+      return;
+    }
 #endif
+    data = static_cast<T*>(::operator new(bytes(), std::align_val_t{64}));
+    std::memset(data, 0, bytes());
   }
   Slab(Slab&& other) noexcept
       : data(std::exchange(other.data, nullptr)),
@@ -88,11 +116,30 @@ struct Slab {
   }
   ~Slab() { release(); }
 
+  std::size_t bytes() const { return count * sizeof(T); }
+  /// True iff this slab is (or would be) its own anonymous mapping.
+  bool mapped() const {
+#if defined(__linux__)
+    return bytes() >= kHugePage;
+#else
+    return false;
+#endif
+  }
+
  private:
+  std::size_t mapped_length() const {
+    return (bytes() + kHugePage - 1) & ~(kHugePage - 1);
+  }
+
   void release() {
-    if (data != nullptr) {
-      ::operator delete(data, count * sizeof(T), std::align_val_t{kHugePage});
+    if (data == nullptr) return;
+#if defined(__linux__)
+    if (mapped()) {
+      munmap(data, mapped_length());
+      return;
     }
+#endif
+    ::operator delete(data, bytes(), std::align_val_t{64});
   }
 };
 
@@ -104,11 +151,16 @@ struct Slab {
 /// single-threaded.
 class SeenSet {
  public:
+  /// Smallest power-of-two slot count that keeps `expected` states at or
+  /// below a 50% load factor.
+  static std::uint64_t slots_for(std::uint64_t expected) {
+    std::uint64_t slots = kMinSlots;
+    while (slots < expected * 2) slots <<= 1;
+    return slots;
+  }
+
   explicit SeenSet(std::uint64_t expected_states) {
-    std::uint64_t capacity = kMinSlots;
-    // Size for a <=50% steady-state load factor on the hinted state count.
-    while (capacity < expected_states * 2) capacity <<= 1;
-    rebuild(capacity);
+    rebuild(slots_for(expected_states));
   }
 
   /// True iff `key` was not present. Safe to call from any worker thread.
@@ -143,18 +195,15 @@ class SeenSet {
   }
 
   /// Grow so that `projected_inserts` more keys on top of the `fill` keys
-  /// already present keep the load factor at or below 50%. MUST only be
-  /// called while no worker thread is probing (the engine's level barrier);
-  /// the rebuild is stop-the-world.
-  void reserve_level(std::uint64_t fill, std::uint64_t projected_inserts) {
-    const std::uint64_t want = (fill + projected_inserts) * 2;
-    if (want <= capacity()) return;
-    std::uint64_t next = capacity();
-    while (next < want) next <<= 1;
+  /// already present keep the load factor at or below 50%; true iff the
+  /// table was rebuilt. MUST only be called while no worker thread is
+  /// probing (the engine's level barrier); the rebuild is stop-the-world.
+  bool reserve_level(std::uint64_t fill, std::uint64_t projected_inserts) {
+    const std::uint64_t next = slots_for(fill + projected_inserts);
+    if (next <= capacity()) return false;
     Slab<std::uint64_t> old = std::move(storage_);
-    const std::size_t old_capacity = mask_ + 1;
     rebuild(next);
-    for (std::size_t i = 0; i < old_capacity; ++i) {
+    for (std::size_t i = 0; i < old.count; ++i) {
       const std::uint64_t key = old.data[i];  // quiescent: plain loads fine
       if (key == kReservedKey) continue;
       std::size_t j = static_cast<std::size_t>(mix64(key)) & mask_;
@@ -162,6 +211,15 @@ class SeenSet {
         j = (j + 1) & mask_;
       }
       slots_[j] = key;
+    }
+    return true;
+  }
+
+  /// Visit every stored key. Quiescent callers only (the level barrier).
+  template <class F>
+  void for_each(F&& visit) const {
+    for (std::size_t i = 0; i <= mask_; ++i) {
+      if (slots_[i] != kReservedKey) visit(slots_[i]);
     }
   }
 
@@ -252,14 +310,15 @@ class CompactSeenSet {
         slots_ + static_cast<std::size_t>(h >> rem_bits_) * kBucketSlots, 1, 3);
   }
 
-  /// Grow so the sizing target holds for `fill + projected_inserts` codes.
-  /// MUST only be called at the engine's level barrier (stop-the-world
-  /// rebuild; stored hashes are inverted back into codes and re-inserted,
-  /// stash included — growth can only drain the stash, never feed it).
-  void reserve_level(std::uint64_t fill, std::uint64_t projected_inserts) {
+  /// Grow so the sizing target holds for `fill + projected_inserts` codes;
+  /// true iff the table was rebuilt. MUST only be called at the engine's
+  /// level barrier (stop-the-world rebuild; stored hashes are inverted back
+  /// into codes and re-inserted, stash included — growth can only drain the
+  /// stash, never feed it).
+  bool reserve_level(std::uint64_t fill, std::uint64_t projected_inserts) {
     std::uint64_t want = capacity();
     while (want * 3 < (fill + projected_inserts) * 4) want <<= 1;
-    if (want == capacity()) return;
+    if (want == capacity()) return false;
     Slab<std::uint32_t> old = std::move(storage_);
     const std::size_t old_slots = slot_count_;
     const int old_rem_bits = rem_bits_;
@@ -275,6 +334,7 @@ class CompactSeenSet {
       insert((h * kMulInv) & code_mask(code_bits_));
     }
     for (const std::uint64_t code : old_stash) insert(code);
+    return true;
   }
 
   std::uint64_t capacity() const { return slot_count_; }
@@ -303,10 +363,8 @@ class CompactSeenSet {
                                : static_cast<std::uint32_t>(
                                      code_mask(rem_bits_));
     storage_ = Slab<std::uint32_t>(static_cast<std::size_t>(slots));
-    slots_ = storage_.data;
+    slots_ = storage_.data;  // zero-filled: all empty
     slot_count_ = slots;
-    std::memset(slots_, 0, static_cast<std::size_t>(slots) *
-                               sizeof(std::uint32_t));  // all empty
   }
 
   int code_bits_;
@@ -319,23 +377,26 @@ class CompactSeenSet {
   std::unordered_set<std::uint64_t> stash_;
 };
 
-/// Facade over the two tables: picks whichever representation is smaller
-/// for the model's declared code width and the expected-states hint, and
-/// forwards the engine's probe/growth calls.
+/// Facade over the two tables. One rule picks the representation: the
+/// smaller table for the model's code width at the target fill. It runs at
+/// construction, on the expected-states hint, and again at every growth, on
+/// fill + projected inserts: once the classic table's next size would be no
+/// smaller than the compact table, every key moves into a compact table and
+/// the classic one is freed. Growth only happens at the engine's level
+/// barrier, so the switch is as quiescent as any rebuild and membership
+/// stays exact. Once the rule picks the compact table it picks it for every
+/// larger fill too, so the switch is one-way.
 class SeenIndex {
  public:
-  SeenIndex(int code_bits, std::uint64_t expected_states) {
-    std::uint64_t classic_slots = 1ull << 16;
-    while (classic_slots < expected_states * 2) classic_slots <<= 1;
-    if (code_bits <= 63 &&
-        CompactSeenSet::slots_for(code_bits, expected_states) *
-                sizeof(std::uint32_t) <=
-            classic_slots * sizeof(std::uint64_t)) {
+  SeenIndex(int code_bits, std::uint64_t expected_states)
+      : code_bits_(code_bits) {
+    if (compact_wins(expected_states)) {
       compact_ =
           std::make_unique<CompactSeenSet>(code_bits, expected_states);
     } else {
       classic_ = std::make_unique<SeenSet>(expected_states);
     }
+    peak_bytes_ = bytes();
   }
 
   /// `mix_hash` must be mix64(code); the classic table probes with it (the
@@ -356,12 +417,25 @@ class SeenIndex {
     }
   }
 
+  /// Quiescent growth (the engine's level barrier only); may switch the
+  /// classic table for a compact one. See the class comment.
   void reserve_level(std::uint64_t fill, std::uint64_t projected_inserts) {
+    const std::uint64_t held = bytes();
+    const std::uint64_t target = fill + projected_inserts;
+    bool rebuilt = false;
     if (compact_) {
-      compact_->reserve_level(fill, projected_inserts);
+      rebuilt = compact_->reserve_level(fill, projected_inserts);
+    } else if (SeenSet::slots_for(target) > classic_->capacity() &&
+               compact_wins(target)) {
+      compact_ = std::make_unique<CompactSeenSet>(code_bits_, target);
+      classic_->for_each([this](std::uint64_t key) { compact_->insert(key); });
+      classic_.reset();
+      rebuilt = true;
     } else {
-      classic_->reserve_level(fill, projected_inserts);
+      rebuilt = classic_->reserve_level(fill, projected_inserts);
     }
+    // A rebuild holds the old and the new table at once.
+    if (rebuilt) peak_bytes_ = std::max(peak_bytes_, held + bytes());
   }
 
   std::uint64_t capacity() const {
@@ -370,9 +444,22 @@ class SeenIndex {
   std::uint64_t bytes() const {
     return compact_ ? compact_->bytes() : classic_->bytes();
   }
+  /// Most bytes held at once so far, rebuilds and the switch included.
+  std::uint64_t peak_bytes() const { return std::max(peak_bytes_, bytes()); }
   bool compact() const { return compact_ != nullptr; }
 
  private:
+  /// The one rule: is the compact table no larger than the classic one for
+  /// `target` states at this code width?
+  bool compact_wins(std::uint64_t target) const {
+    return code_bits_ <= 63 &&
+           CompactSeenSet::slots_for(code_bits_, target) *
+                   sizeof(std::uint32_t) <=
+               SeenSet::slots_for(target) * sizeof(std::uint64_t);
+  }
+
+  int code_bits_;
+  std::uint64_t peak_bytes_ = 0;
   std::unique_ptr<SeenSet> classic_;
   std::unique_ptr<CompactSeenSet> compact_;
 };

@@ -24,10 +24,10 @@
 #include <utility>
 #include <vector>
 
-#include "fuzz/json.hpp"  // dependency-free JSON reader, reused to validate
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "sim/trace.hpp"
+#include "util/json.hpp"  // dependency-free JSON reader, reused to validate
 
 namespace wfd::obs {
 
@@ -212,36 +212,36 @@ inline bool validate_trace_json(
     if (why != nullptr) *why = what;
     return false;
   };
-  fuzz::Json doc;
+  util::Json doc;
   std::string error;
-  if (!fuzz::Json::parse(text, &doc, &error)) {
+  if (!util::Json::parse(text, &doc, &error)) {
     return fail("not well-formed JSON: " + error);
   }
-  const fuzz::Json* events = doc.find("traceEvents");
-  if (events == nullptr || events->kind != fuzz::Json::Kind::kArray) {
+  const util::Json* events = doc.find("traceEvents");
+  if (events == nullptr || events->kind != util::Json::Kind::kArray) {
     return fail("missing traceEvents array");
   }
   std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint64_t> last_ts;
   std::map<std::string, std::uint64_t> by_cat;
   for (std::size_t i = 0; i < events->items.size(); ++i) {
-    const fuzz::Json& entry = events->items[i];
-    if (entry.kind != fuzz::Json::Kind::kObject) {
+    const util::Json& entry = events->items[i];
+    if (entry.kind != util::Json::Kind::kObject) {
       return fail("traceEvents[" + std::to_string(i) + "] is not an object");
     }
-    const fuzz::Json* ph = entry.find("ph");
-    if (ph == nullptr || ph->kind != fuzz::Json::Kind::kString) {
+    const util::Json* ph = entry.find("ph");
+    if (ph == nullptr || ph->kind != util::Json::Kind::kString) {
       return fail("traceEvents[" + std::to_string(i) + "] has no ph");
     }
     if (ph->str == "M") continue;  // metadata: no timestamp
     if (ph->str != "i" && ph->str != "X") {
       return fail("unexpected ph \"" + ph->str + "\"");
     }
-    const fuzz::Json* name = entry.find("name");
-    const fuzz::Json* ts = entry.find("ts");
-    const fuzz::Json* pid = entry.find("pid");
-    const fuzz::Json* tid = entry.find("tid");
-    if (name == nullptr || name->kind != fuzz::Json::Kind::kString ||
-        ts == nullptr || ts->kind != fuzz::Json::Kind::kNumber ||
+    const util::Json* name = entry.find("name");
+    const util::Json* ts = entry.find("ts");
+    const util::Json* pid = entry.find("pid");
+    const util::Json* tid = entry.find("tid");
+    if (name == nullptr || name->kind != util::Json::Kind::kString ||
+        ts == nullptr || ts->kind != util::Json::Kind::kNumber ||
         pid == nullptr || tid == nullptr) {
       return fail("traceEvents[" + std::to_string(i) +
                   "] lacks name/ts/pid/tid");
@@ -257,8 +257,8 @@ inline bool validate_trace_json(
                   std::to_string(i) + "]");
     }
     last_ts[track] = t;
-    if (const fuzz::Json* cat = entry.find("cat")) {
-      if (cat->kind == fuzz::Json::Kind::kString) ++by_cat[cat->str];
+    if (const util::Json* cat = entry.find("cat")) {
+      if (cat->kind == util::Json::Kind::kString) ++by_cat[cat->str];
     }
   }
   if (expected != nullptr) {

@@ -587,6 +587,11 @@ void Server::reap_sessions(bool final_join) {
 bool Server::session_write(Session& session, const std::string& line) {
   if (session.gone.load(std::memory_order_acquire)) return false;
   std::lock_guard<std::mutex> lock(session.write_mu);
+  return session_write_locked(session, line);
+}
+
+bool Server::session_write_locked(Session& session, const std::string& line) {
+  if (session.gone.load(std::memory_order_acquire)) return false;
   if (!write_line(session.fd, line)) {
     // EPIPE and friends: the peer is gone. Mark the session so its queued
     // and running jobs cancel, and wake its (possibly blocked) reader.
@@ -708,12 +713,18 @@ void Server::handle_line(const std::shared_ptr<Session>& session,
     }
     scope.add(id_cache_misses_);
   }
+  // The session's write_mu is held from here until the admission reply is
+  // on the wire: a worker that dequeues this job writes its progress and
+  // result under the same mutex, so `accepted` always comes first. Lock
+  // order is write_mu, then queue_mu_; workers never hold queue_mu_ while
+  // writing.
+  std::lock_guard<std::mutex> write_lock(session->write_mu);
   const auto reject = [&](const char* reason, const std::string& detail) {
     obs::JsonObject out;
     out.field("type", "rejected").field("reason", reason);
     if (!job.request.tag.empty()) out.field("tag", job.request.tag);
     out.field("detail", detail);
-    session_write(*session, out.str());
+    session_write_locked(*session, out.str());
   };
   if (draining_.load(std::memory_order_acquire)) {
     scope.add(id_rejected_draining_);
@@ -749,7 +760,7 @@ void Server::handle_line(const std::shared_ptr<Session>& session,
   out.field("type", "accepted").field("job", id);
   if (!tag.empty()) out.field("tag", tag);
   out.field("queue_depth", depth);
-  session_write(*session, out.str());
+  session_write_locked(*session, out.str());
 }
 
 void Server::worker_main() {
@@ -870,6 +881,9 @@ void Server::handle_line(const std::shared_ptr<Session>&, const std::string&,
                          obs::Scope&) {}
 void Server::worker_main() {}
 bool Server::session_write(Session&, const std::string&) { return false; }
+bool Server::session_write_locked(Session&, const std::string&) {
+  return false;
+}
 bool Server::listen_unix(std::string*) { return false; }
 bool Server::listen_tcp(std::string*) { return false; }
 

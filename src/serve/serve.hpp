@@ -217,6 +217,8 @@ class Server {
   void worker_main();
   void drain();
   bool session_write(Session& session, const std::string& line);
+  /// session_write for a caller that already holds session.write_mu.
+  bool session_write_locked(Session& session, const std::string& line);
   void narrate(const std::string& message);
 
   ServerOptions options_;

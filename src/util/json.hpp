@@ -1,8 +1,7 @@
 // Shared, dependency-free JSON library: a tolerant reader plus a
 // deterministic writer, used by the fuzzer (.repro files), the scenario DSL
 // (*.scenario.json), and the observability layer (Perfetto/NDJSON
-// validation). Grew out of src/fuzz/json.hpp; the fuzz header now merely
-// re-exports these types so existing includes keep compiling.
+// validation). Grew out of the fuzzer's .repro reader.
 //
 // Reader grammar subset: objects, arrays, strings with basic escapes,
 // integer/float numbers, booleans, null — exactly what the writers in this

@@ -12,11 +12,13 @@
 
 #include "fuzz/config.hpp"
 #include "fuzz/fuzzer.hpp"
-#include "fuzz/json.hpp"
 #include "fuzz/oracles.hpp"
+#include "util/json.hpp"
 
 namespace wfd::fuzz {
 namespace {
+
+using util::Json;
 
 FuzzConfig broken_fork_based_config() {
   FuzzConfig config;

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <cstdint>
 #include <functional>
 #include <set>
@@ -21,6 +22,10 @@
 #include "mc/engine.hpp"
 #include "mc/gkk_model.hpp"
 #include "mc/reduction_model.hpp"
+
+#if defined(__linux__)
+#include <sys/mman.h>
+#endif
 
 namespace wfd::mc {
 namespace {
@@ -770,12 +775,171 @@ TEST(ParallelEngine, SeenIndexPicksTheSmallerTable) {
   // 26-bit codes with an honest hint: the 4-byte-entry table wins.
   EXPECT_TRUE(detail::SeenIndex(26, 516961).compact());
   // 52-bit codes need >= 2^24 compact slots (remainder must fit 31 bits);
-  // without a size hint the classic table is smaller, with the real 8.3M
-  // hint the compact one is (64MB vs 268MB).
+  // without a size hint the classic table is smaller at construction, with
+  // the real 8.3M hint the compact one is (64MB vs 268MB). The unhinted
+  // table re-applies the same rule at every growth, so it turns compact
+  // before it would outgrow 64MB (SeenIndexTurnsCompactAtGrowth).
   EXPECT_FALSE(detail::SeenIndex(52, 0).compact());
   EXPECT_TRUE(detail::SeenIndex(52, 8340544).compact());
   // Full-width keys can only use the classic table.
   EXPECT_FALSE(detail::SeenIndex(64, 1000).compact());
+}
+
+// Spreads consecutive indices over the whole width (an odd multiplier is a
+// bijection mod 2^bits), so codes use every bucket of a compact table.
+std::uint64_t spread_code(std::uint64_t index, int bits) {
+  return (index * 0x9e3779b97f4a7c15ull) & code_mask(bits);
+}
+
+TEST(ParallelEngine, SeenIndexTurnsCompactAtGrowth) {
+  // 46-bit codes: the compact table needs >= 2^18 slots (1MB); the classic
+  // table starts at 2^16 slots (512KB) and wins until its next size would
+  // reach 1MB.
+  constexpr int kBits = 46;
+  detail::SeenIndex seen(kBits, /*expected_states=*/0);
+  ASSERT_FALSE(seen.compact());
+  constexpr std::uint64_t kBefore = 20000;
+  for (std::uint64_t i = 0; i < kBefore; ++i) {
+    ASSERT_TRUE(seen.insert(spread_code(i, kBits)));
+  }
+  seen.reserve_level(kBefore, 10000);  // fits 2^16 slots: no growth
+  ASSERT_FALSE(seen.compact());
+  const std::uint64_t classic_bytes = seen.bytes();
+  seen.reserve_level(kBefore, 200000);  // classic would grow to 4MB
+  ASSERT_TRUE(seen.compact());
+  EXPECT_EQ(seen.peak_bytes(), classic_bytes + seen.bytes())
+      << "the switch holds both tables at once";
+  for (std::uint64_t i = 0; i < kBefore; ++i) {
+    ASSERT_FALSE(seen.insert(spread_code(i, kBits))) << i;
+  }
+
+  // Concurrent inserts after the switch: every thread races over the same
+  // overlapping range, and each new code succeeds exactly once.
+  constexpr std::uint64_t kAfter = 150000;
+  constexpr int kThreads = 8;
+  std::atomic<std::uint64_t> inserted{0};
+  std::vector<std::thread> pool;
+  pool.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    pool.emplace_back([&seen, &inserted, t] {
+      std::uint64_t mine = 0;
+      for (std::uint64_t i = 0; i < kBefore + kAfter; ++i) {
+        const std::uint64_t index =
+            (i + static_cast<std::uint64_t>(t) * (kAfter / kThreads)) %
+            (kBefore + kAfter);
+        if (seen.insert(spread_code(index, kBits))) ++mine;
+      }
+      inserted.fetch_add(mine);
+    });
+  }
+  for (std::thread& t : pool) t.join();
+  EXPECT_EQ(inserted.load(), kAfter);
+  // Growing the compact table afterwards still keeps every member.
+  seen.reserve_level(kBefore + kAfter, 4 * kAfter);
+  for (std::uint64_t i = 0; i < kBefore + kAfter; i += 7) {
+    EXPECT_FALSE(seen.insert(spread_code(i, kBits))) << i;
+  }
+}
+
+// A heap-shaped space of `states` indices (i -> 2i+1, 2i+2, i+1) whose
+// codes spread across 46 bits: declared as 46-bit codes, an unhinted run's
+// seen-set starts classic and turns compact at a level barrier mid-run;
+// declared full-width, the same space can only use the classic table.
+struct SpreadModel {
+  struct State {
+    std::uint64_t bits = 0;
+  };
+  static constexpr int kBits = 46;
+  std::uint64_t states = 200000;
+  int width = kBits;
+
+  int code_bits() const { return width; }
+  static std::uint64_t index_of(const State& st) {
+    return (st.bits * detail::odd_inverse(0x9e3779b97f4a7c15ull)) &
+           code_mask(kBits);
+  }
+  std::vector<State> initial_states() const { return {State{0}}; }
+  void successors(const State& st, std::vector<Transition<State>>& out) const {
+    const std::uint64_t i = index_of(st);
+    for (const std::uint64_t next : {2 * i + 1, 2 * i + 2, i + 1}) {
+      if (next < states) {
+        out.push_back({State{spread_code(next, kBits)}, kLabelNone});
+      }
+    }
+  }
+  std::string check_state(const State&) const { return {}; }
+  std::string check_expansion(const State&,
+                              const std::vector<Transition<State>>&) const {
+    return {};
+  }
+  std::string describe(const State& st) const {
+    return "i" + std::to_string(index_of(st));
+  }
+};
+
+static_assert(CompactModel<SpreadModel>);
+
+TEST(ParallelEngine, UnhintedRunSwitchesToCompactWithIdenticalResults) {
+  const SpreadModel model;
+  const CheckResult hinted =
+      run_check(model, {.threads = 1, .expected_states = model.states});
+  ASSERT_TRUE(hinted.ok()) << hinted.counterexample;
+  EXPECT_EQ(hinted.states, model.states);
+  const CheckResult classic =
+      run_check(SpreadModel{.width = 64}, {.threads = 1});
+  EXPECT_EQ(classic.states, hinted.states);
+  EXPECT_EQ(classic.transitions, hinted.transitions);
+  EXPECT_EQ(classic.depth, hinted.depth);
+  for (const int threads : {1, 2, 4}) {
+    for (const std::uint64_t hint : {model.states, std::uint64_t{0}}) {
+      const CheckResult result =
+          run_check(model, {.threads = threads, .expected_states = hint});
+      EXPECT_EQ(result.verdict, hinted.verdict)
+          << "threads=" << threads << " hint=" << hint;
+      EXPECT_EQ(result.states, hinted.states);
+      EXPECT_EQ(result.transitions, hinted.transitions);
+      EXPECT_EQ(result.depth, hinted.depth);
+      if (hint == 0) {
+        // Until it switches, the unhinted table grows exactly like the
+        // classic-only one (same fills, same projections), so a lower peak
+        // means it switched, and the switch is one-way: it ended compact.
+        EXPECT_LT(result.seen_bytes, classic.seen_bytes)
+            << "threads=" << threads;
+      }
+    }
+  }
+}
+
+TEST(ParallelEngine, SlabMapsAlignedZeroedPagesAndReleasesThem) {
+  constexpr std::size_t kPage = 4096;
+  constexpr std::size_t kSlots = 3 * detail::kHugePage / sizeof(std::uint32_t);
+  auto slab = std::make_unique<detail::Slab<std::uint32_t>>(kSlots);
+  ASSERT_TRUE(slab->mapped());
+  const auto address = reinterpret_cast<std::uintptr_t>(slab->data);
+  EXPECT_EQ(address % detail::kHugePage, 0u);
+  for (std::size_t i = 0; i < kSlots; i += kPage / sizeof(std::uint32_t)) {
+    ASSERT_EQ(slab->data[i], 0u) << "slot " << i;
+    slab->data[i] = 1;  // every page writable
+  }
+  EXPECT_EQ(slab->data[kSlots - 1], 0u);
+  slab.reset();
+#if defined(__linux__)
+  // The pages left the process: the range is no longer mapped at all.
+  unsigned char residency[3 * detail::kHugePage / kPage];
+  errno = 0;
+  EXPECT_EQ(mincore(reinterpret_cast<void*>(address), 3 * detail::kHugePage,
+                    residency),
+            -1);
+  EXPECT_EQ(errno, ENOMEM);
+#endif
+
+  // Below a huge page the slab is a cleared heap block.
+  detail::Slab<std::uint64_t> small(1024);
+  EXPECT_FALSE(small.mapped());
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(small.data) % 64, 0u);
+  for (std::size_t i = 0; i < small.count; ++i) {
+    ASSERT_EQ(small.data[i], 0u) << "slot " << i;
+  }
 }
 
 // --- campaign pre-sizing under reductions ----------------------------------

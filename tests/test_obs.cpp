@@ -23,6 +23,7 @@
 #include "obs/progress.hpp"
 #include "obs/span.hpp"
 #include "sim/trace.hpp"
+#include "util/json.hpp"
 
 namespace wfd {
 namespace {
@@ -127,12 +128,12 @@ TEST(Registry, SnapshotToJsonIsWellFormed) {
   scope.add(c, 7);
   scope.observe(h, 16);
   const std::string json = registry.snapshot().to_json();
-  fuzz::Json doc;
+  util::Json doc;
   std::string error;
-  ASSERT_TRUE(fuzz::Json::parse(json, &doc, &error)) << error << ": " << json;
+  ASSERT_TRUE(util::Json::parse(json, &doc, &error)) << error << ": " << json;
   EXPECT_EQ(doc.find("c")->as_u64(), 7u);
   EXPECT_DOUBLE_EQ(doc.find("g")->as_double(), 0.5);
-  const fuzz::Json* histo = doc.find("h");
+  const util::Json* histo = doc.find("h");
   ASSERT_NE(histo, nullptr);
   EXPECT_EQ(histo->find("count")->as_u64(), 1u);
   EXPECT_EQ(histo->find("sum")->as_u64(), 16u);
@@ -456,9 +457,9 @@ TEST(Progress, JsonObjectBuildsOrderedNdjsonRecords) {
       .field("done", false)
       .raw("metrics", "{\"x\":1}");
   const std::string line = record.str();
-  fuzz::Json doc;
+  util::Json doc;
   std::string error;
-  ASSERT_TRUE(fuzz::Json::parse(line, &doc, &error)) << error << ": " << line;
+  ASSERT_TRUE(util::Json::parse(line, &doc, &error)) << error << ": " << line;
   EXPECT_EQ(doc.find("type")->str, "progress");
   EXPECT_EQ(doc.find("completed")->as_u64(), 3u);
   EXPECT_EQ(doc.find("metrics")->find("x")->as_u64(), 1u);

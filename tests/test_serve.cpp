@@ -9,16 +9,19 @@
 // lifecycle) lives in tools/wfd_client.py --e2e.
 #include <gtest/gtest.h>
 
+#include <sched.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <csignal>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -389,6 +392,75 @@ TEST_F(ServeTest, CacheHitReturnsIdenticalBytesInstantly) {
 
   EXPECT_EQ(counter_value("serve.cache.hits"), 1u);
   EXPECT_EQ(counter_value("serve.cache.misses"), 1u);
+}
+
+/// Pins the calling thread, and every thread it starts, to one CPU for the
+/// guard's lifetime.
+class OneCpu {
+ public:
+  OneCpu() {
+    if (sched_getaffinity(0, sizeof saved_, &saved_) != 0) return;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+      if (CPU_ISSET(cpu, &saved_)) {
+        CPU_SET(cpu, &one);
+        break;
+      }
+    }
+    pinned_ = sched_setaffinity(0, sizeof one, &one) == 0;
+  }
+  ~OneCpu() {
+    if (pinned_) sched_setaffinity(0, sizeof saved_, &saved_);
+  }
+  bool pinned() const { return pinned_; }
+
+ private:
+  cpu_set_t saved_;
+  bool pinned_ = false;
+};
+
+// A fast job's progress and result lines never overtake its `accepted`
+// ack: admission holds the session's write lock from the enqueue until the
+// ack is written. Cheap jobs go in one at a time, so each submit wakes an
+// idle worker; with the whole daemon on one CPU, that worker can preempt
+// the session thread between enqueue and ack. Without the lock about one
+// job in 1,500 answered before it was accepted (one run in five failed).
+TEST_F(ServeTest, AcceptedPrecedesEveryLineOfItsJob) {
+  const OneCpu pin;
+  ASSERT_TRUE(pin.pinned());
+  options_.workers = 2;
+  boot();
+  TestClient client;
+  ASSERT_TRUE(client.connect_unix(sock_path_));
+  constexpr std::size_t kJobs = 400;
+  std::set<std::uint64_t> accepted;
+  std::string line;
+  for (std::size_t i = 0; i < kJobs; ++i) {
+    ASSERT_TRUE(client.send(
+        "{\"type\":\"submit\",\"kind\":\"run\",\"config\":{\"seed\":" +
+        std::to_string(1000 + i) +
+        ",\"target\":\"dining\",\"n\":2,\"steps\":50}}"));
+    std::string type;
+    do {
+      ASSERT_TRUE(client.next(&line));
+      Json doc;
+      std::string error;
+      ASSERT_TRUE(Json::parse(line, &doc, &error)) << error << ": " << line;
+      const Json* type_field = doc.find("type");
+      const Json* job = doc.find("job");
+      ASSERT_TRUE(type_field != nullptr && job != nullptr) << line;
+      type = type_field->as_string(std::string());
+      if (type == "accepted") {
+        EXPECT_TRUE(accepted.insert(job->as_u64()).second) << line;
+      } else {
+        EXPECT_EQ(accepted.count(job->as_u64()), 1u)
+            << "line before its job's accepted: " << line;
+      }
+    } while (type != "result");
+  }
+  EXPECT_EQ(accepted.size(), kJobs);
+  drain_and_join();  // the daemon's threads exit while still pinned
 }
 
 TEST_F(ServeTest, BackpressureRejectsExactlyAtCapacity) {

@@ -22,12 +22,12 @@
 #include <vector>
 
 #include "fuzz/config.hpp"
-#include "fuzz/json.hpp"
 #include "fuzz/oracles.hpp"
 #include "obs/metrics.hpp"
 #include "obs/perfetto.hpp"
 #include "obs/progress.hpp"
 #include "sim/trace.hpp"
+#include "util/json.hpp"
 
 namespace {
 
@@ -305,24 +305,24 @@ int check_progress_main(const Cli& cli) {
   while (std::getline(in, line)) {
     if (line.empty()) continue;
     ++records;
-    fuzz::Json doc;
+    util::Json doc;
     std::string error;
-    if (!fuzz::Json::parse(line, &doc, &error)) {
+    if (!util::Json::parse(line, &doc, &error)) {
       std::cout << "wfd_trace: line " << records << " is not valid JSON: "
                 << error << "\n";
       return 1;
     }
-    const fuzz::Json* type = doc.find("type");
-    if (doc.kind != fuzz::Json::Kind::kObject || type == nullptr ||
-        type->kind != fuzz::Json::Kind::kString) {
+    const util::Json* type = doc.find("type");
+    if (doc.kind != util::Json::Kind::kObject || type == nullptr ||
+        type->kind != util::Json::Kind::kString) {
       std::cout << "wfd_trace: line " << records << " lacks a type field\n";
       return 1;
     }
     last_type = type->str;
     if (type->str == "progress" || type->str == "campaign") {
       for (const char* field : {"seed", "elapsed_ms"}) {
-        const fuzz::Json* v = doc.find(field);
-        if (v == nullptr || v->kind != fuzz::Json::Kind::kNumber) {
+        const util::Json* v = doc.find(field);
+        if (v == nullptr || v->kind != util::Json::Kind::kNumber) {
           std::cout << "wfd_trace: line " << records << " lacks numeric "
                     << field << "\n";
           return 1;
