@@ -363,7 +363,11 @@ CheckResult run_check(const M& model, const CheckOptions& options = {}) {
             continue;  // duplicate of a code already in the table
           }
           out.batch.push_back({hash, to_code});
-          seen.prefetch(to_code, hash);
+          // Issued here, not from a seen-set method: GCC marks a void
+          // function whose only statement is __builtin_prefetch as pure and
+          // drops every call to it, so a wrapped prefetch never reaches the
+          // machine code (the mc_prefetch_codegen ctest guards this).
+          __builtin_prefetch(seen.home(to_code, hash), 1, 3);
         }
         if (invalid) {
           out.batch.clear();

@@ -169,7 +169,7 @@ class SeenSet {
   /// accounting and passes it back into reserve_level.
   bool insert(std::uint64_t key) { return insert_hashed(mix64(key), key); }
 
-  /// Insert with a precomputed mix64 hash (pairs with `prefetch`).
+  /// Insert with a precomputed mix64 hash (pairs with `home`).
   bool insert_hashed(std::uint64_t hash, std::uint64_t key) {
     assert(key != kReservedKey && "packed state collides with the sentinel");
     std::size_t i = static_cast<std::size_t>(hash) & mask_;
@@ -188,10 +188,9 @@ class SeenSet {
     }
   }
 
-  /// Warm the cache line of `hash`'s home slot; batching prefetches before
-  /// a run of inserts hides the DRAM latency of the (random-access) table.
-  void prefetch(std::uint64_t hash) const {
-    __builtin_prefetch(&slots_[static_cast<std::size_t>(hash) & mask_], 1, 3);
+  /// The slot insert_hashed(hash, ...) probes first.
+  const void* home(std::uint64_t hash) const {
+    return &slots_[static_cast<std::size_t>(hash) & mask_];
   }
 
   /// Grow so that `projected_inserts` more keys on top of the `fill` keys
@@ -304,10 +303,10 @@ class CompactSeenSet {
     return stash_.insert(code).second;
   }
 
-  void prefetch(std::uint64_t code) const {
+  /// The bucket (one cache line) insert(code) probes.
+  const void* home(std::uint64_t code) const {
     const std::uint64_t h = (code * kMul) & code_mask(code_bits_);
-    __builtin_prefetch(
-        slots_ + static_cast<std::size_t>(h >> rem_bits_) * kBucketSlots, 1, 3);
+    return slots_ + static_cast<std::size_t>(h >> rem_bits_) * kBucketSlots;
   }
 
   /// Grow so the sizing target holds for `fill + projected_inserts` codes;
@@ -409,12 +408,10 @@ class SeenIndex {
     return compact_ ? compact_->insert(code) : classic_->insert(code);
   }
 
-  void prefetch(std::uint64_t code, std::uint64_t mix_hash) const {
-    if (compact_) {
-      compact_->prefetch(code);
-    } else {
-      classic_->prefetch(mix_hash);
-    }
+  /// The cache line insert(code, mix_hash) probes first; the engine
+  /// prefetches it a state ahead of the insert.
+  const void* home(std::uint64_t code, std::uint64_t mix_hash) const {
+    return compact_ ? compact_->home(code) : classic_->home(mix_hash);
   }
 
   /// Quiescent growth (the engine's level barrier only); may switch the

@@ -12,14 +12,16 @@ namespace wfd::serve {
 LineReader::Status LineReader::next(std::string* line) {
   if (poisoned_) return poison_status_;
   for (;;) {
+    // A line is over the cap when more than max_line bytes precede its
+    // '\n' — whether or not the '\n' came in the same read.
     const std::size_t newline = buffer_.find('\n');
-    if (newline != std::string::npos) {
+    if (newline != std::string::npos && newline <= max_line_) {
       line->assign(buffer_, 0, newline);
       buffer_.erase(0, newline + 1);
       if (!line->empty() && line->back() == '\r') line->pop_back();
       return Status::kLine;
     }
-    if (buffer_.size() > max_line_) {
+    if (newline != std::string::npos || buffer_.size() > max_line_) {
       poisoned_ = true;
       poison_status_ = Status::kTooLong;
       return Status::kTooLong;

@@ -27,7 +27,7 @@ class LineReader {
     kLine,     ///< *line holds the next complete line
     kEof,      ///< orderly shutdown, no buffered data left
     kError,    ///< read failed (errno already captured by the caller's side)
-    kTooLong,  ///< peer exceeded max_line bytes without a newline
+    kTooLong,  ///< peer sent a line of more than max_line bytes
   };
 
   explicit LineReader(int fd, std::size_t max_line = std::size_t{1} << 20)

@@ -95,6 +95,25 @@ TEST(Framing, StripsCarriageReturnAndCapsLineLength) {
   ::close(fds[0]);
 }
 
+TEST(Framing, CapsLinesWhoseNewlineArrivesInTheSameRead) {
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  // One write below PIPE_BUF, so the reader gets it in one read: the
+  // 20-byte line's '\n' is already buffered when its length is judged.
+  const std::string input =
+      std::string(16, 'a') + "\n" + std::string(20, 'x') + "\nping\n";
+  ASSERT_EQ(::write(fds[1], input.data(), input.size()),
+            static_cast<ssize_t>(input.size()));
+  ::close(fds[1]);
+  LineReader reader(fds[0], 16);
+  std::string line;
+  EXPECT_EQ(reader.next(&line), LineReader::Status::kLine);
+  EXPECT_EQ(line, std::string(16, 'a'));  // exactly at the cap
+  EXPECT_EQ(reader.next(&line), LineReader::Status::kTooLong);
+  EXPECT_EQ(reader.next(&line), LineReader::Status::kTooLong);
+  ::close(fds[0]);
+}
+
 TEST(Framing, WriteLineToDeadPeerReturnsFalse) {
   int fds[2];
   ASSERT_EQ(::pipe(fds), 0);
