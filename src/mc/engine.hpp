@@ -119,6 +119,7 @@ struct Worker {
   bool has_violation = false;
   std::uint64_t violation_key = 0;
   std::string violation;
+  std::string spill_error;  // first frontier chunk this worker could not read
   // Delta-compressed edge log for CSR assembly (collect-graph models only).
   DeltaEdgeLog log;
 };
@@ -330,6 +331,12 @@ CheckResult run_check(const M& model, const CheckOptions& options = {}) {
          ci = cursor.fetch_add(1)) {
       const detail::SpillableFrontier::View view =
           frontier.resolve(ci, out.scratch);
+      if (!view.error.empty()) {
+        // The chunk's codes never arrived; expanding the scratch buffer
+        // would explore stale words as if they had been reached.
+        if (out.spill_error.empty()) out.spill_error = view.error;
+        continue;
+      }
       for (std::size_t i = view.begin; i < view.end; ++i) {
         const std::uint64_t key =
             PackedCodeVector::read(view.words, width, i);
@@ -470,6 +477,7 @@ CheckResult run_check(const M& model, const CheckOptions& options = {}) {
     result.states += level_size;
     std::uint64_t level_transitions = 0;
     const detail::Worker<S>* worst = nullptr;
+    const std::string* spill_error = nullptr;
     for (detail::Worker<S>& out : outs) {
       level_transitions += out.transitions;
       result.transitions += out.transitions;
@@ -478,6 +486,9 @@ CheckResult run_check(const M& model, const CheckOptions& options = {}) {
       if (out.has_violation &&
           (worst == nullptr || out.violation_key < worst->violation_key)) {
         worst = &out;
+      }
+      if (spill_error == nullptr && !out.spill_error.empty()) {
+        spill_error = &out.spill_error;
       }
     }
     const double level_seconds =
@@ -499,6 +510,14 @@ CheckResult run_check(const M& model, const CheckOptions& options = {}) {
           std::chrono::duration<double, std::milli>(level_start - start)
               .count(),
           level_seconds * 1000.0, level_size);
+    }
+    if (spill_error != nullptr) {
+      // Part of the level was never expanded, so neither a clean cover nor
+      // this level's least violation can be claimed.
+      result.verdict = Verdict::kViolation;
+      result.counterexample = "engine error: " + *spill_error;
+      stopped = true;
+      break;
     }
     if (worst != nullptr) {
       result.verdict = Verdict::kViolation;

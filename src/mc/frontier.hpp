@@ -12,7 +12,10 @@
 // concurrent worker reads need no locking). Each partition ping-pongs two
 // spill files: one being read (current level) and one being written (next
 // level), swapped at the level barrier, so file space is bounded by the two
-// largest spilled levels rather than the whole run.
+// largest spilled levels rather than the whole run. A segment that cannot
+// be read back whole (a pread error other than EINTR, or end of file) comes
+// back as a View carrying the error, and the engine stops the check with
+// it instead of expanding a partly filled buffer.
 //
 // Determinism: a BFS level is a SET of codes; which segment a code lands in,
 // whether that segment spills, and which worker streams it back are all
@@ -21,10 +24,12 @@
 #pragma once
 
 #include <atomic>
-#include <cassert>
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -39,6 +44,31 @@
 
 namespace wfd::mc {
 namespace detail {
+
+#if WFD_MC_FRONTIER_CAN_SPILL
+/// Read exactly `bytes` bytes at `offset` of `fd` into `dst`, retrying
+/// reads that EINTR cut short. Returns an empty string once every byte has
+/// arrived, else why it could not: pread's error, or end of file first.
+inline std::string pread_exact(int fd, void* dst, std::size_t bytes,
+                               std::uint64_t offset) {
+  std::size_t done = 0;
+  while (done < bytes) {
+    const ssize_t n = ::pread(fd, static_cast<char*>(dst) + done, bytes - done,
+                              static_cast<off_t>(offset + done));
+    if (n > 0) {
+      done += static_cast<std::size_t>(n);
+    } else if (n < 0 && errno == EINTR) {
+      continue;
+    } else if (n < 0) {
+      return std::strerror(errno);
+    } else {
+      return "end of file after " + std::to_string(done) + " of " +
+             std::to_string(bytes) + " bytes";
+    }
+  }
+  return {};
+}
+#endif
 
 class SpillableFrontier {
  public:
@@ -144,6 +174,9 @@ class SpillableFrontier {
   struct View {
     const std::uint64_t* words;  // packed at the frontier's width
     std::size_t begin, end;      // code indices into `words`
+    /// Non-empty when a spilled segment could not be read back; the view
+    /// is then empty and the chunk's codes are unknown.
+    std::string error;
   };
 
   /// Resolve chunk `i` for reading. Disk segments are streamed into the
@@ -152,24 +185,22 @@ class SpillableFrontier {
     const Chunk& c = chunks_[i];
     const Segment& seg = level_[c.segment];
     if (!seg.on_disk) {
-      return {seg.words.data(), c.begin, c.end};
+      return {seg.words.data(), c.begin, c.end, {}};
     }
 #if WFD_MC_FRONTIER_CAN_SPILL
     scratch.resize(seg.word_count);
     const Partition& p = partitions_[static_cast<std::size_t>(seg.partition)];
-    std::size_t done = 0;
-    const std::size_t total = seg.word_count * sizeof(std::uint64_t);
-    while (done < total) {
-      const ssize_t n = ::pread(::fileno(p.file[seg.file_parity]),
-                                reinterpret_cast<char*>(scratch.data()) + done,
-                                total - done,
-                                static_cast<off_t>(seg.file_offset + done));
-      assert(n > 0 && "frontier spill read failed");
-      if (n <= 0) break;
-      done += static_cast<std::size_t>(n);
+    std::string error = pread_exact(::fileno(p.file[seg.file_parity]),
+                                    scratch.data(),
+                                    seg.word_count * sizeof(std::uint64_t),
+                                    seg.file_offset);
+    if (!error.empty()) {
+      return {nullptr, 0, 0,
+              "frontier spill read failed (partition " +
+                  std::to_string(seg.partition) + "): " + error};
     }
 #endif
-    return {scratch.data(), c.begin, c.end};
+    return {scratch.data(), c.begin, c.end, {}};
   }
 
   int width() const { return width_; }

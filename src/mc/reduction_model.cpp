@@ -1,5 +1,6 @@
 #include "mc/reduction_model.hpp"
 
+#include <bit>
 #include <sstream>
 
 #include "mc/engine.hpp"
@@ -67,12 +68,6 @@ Pair pair_of(const ReductionModel::State& state, int k) {
   return Pair{(state.bits >> (k * kPairBits)) & kPairMask};
 }
 
-ReductionModel::State with_pair(const ReductionModel::State& state, int k,
-                                const Pair& pair) {
-  const int shift = k * kPairBits;
-  return {(state.bits & ~(kPairMask << shift)) | (pair.bits << shift)};
-}
-
 const char* thread_name(std::uint64_t v) {
   switch (v) {
     case kT: return "thinking";
@@ -131,6 +126,24 @@ std::string check_pair_invariants(const Pair& st) {
     return "Lemma 8 violated: no subject eating after first meal";
   }
   return {};
+}
+
+/// check_state's verdict on one pair: the lemma invariants, then the
+/// Theorem 2 inductive step — a warmed-up witness meal over a live subject
+/// always holds a ping at judgment time.
+std::string check_pair(const McOptions& options, const Pair& st) {
+  std::string bad = check_pair_invariants(st);
+  if (bad.empty() && options.check_accuracy && !st.crashed() &&
+      st.warmed(0) && st.warmed(1)) {
+    for (int i = 0; i < 2 && bad.empty(); ++i) {
+      if (st.w(i) == kE && !st.haveping(i)) {
+        bad = "Theorem 2 violated: wrongful suspicion after warm-up in "
+              "instance " +
+              std::to_string(i);
+      }
+    }
+  }
+  return bad;
 }
 
 /// Enabled moves of one pair; `emit` receives each successor pair state.
@@ -267,47 +280,99 @@ std::uint64_t flip_pair_bits(std::uint64_t p) {
   return p ^ ((1ull << Pair::kSwitch) | (1ull << Pair::kTrigger));
 }
 
-ReductionModel::ReductionModel(const McOptions& options) : options_(options) {
+std::vector<std::uint64_t> pair_successor_bits(const McOptions& options,
+                                               std::uint64_t pair_bits) {
+  std::vector<std::uint64_t> out;
+  pair_successors(options, Pair{pair_bits & kPairMask},
+                  [&](const Pair& next) { out.push_back(next.bits); });
+  return out;
+}
+
+bool pair_bits_clean(const McOptions& options, std::uint64_t pair_bits) {
+  return check_pair(options, Pair{pair_bits & kPairMask}).empty();
+}
+
+PairTable::PairTable(const McOptions& options) {
+  // BFS over the one-pair relation; blocks_ doubles as the queue, so each
+  // block's successors are appended in index order and form its CSR row.
+  // The lookup table doubles before it would pass half full.
+  rehash(64);
+  const auto visit = [&](std::uint64_t block) {
+    if (find(block) != kMissing) return;
+    if (2 * (blocks_.size() + 1) > slots_.size()) rehash(2 * slots_.size());
+    place(static_cast<std::uint32_t>(blocks_.size()), block);
+    blocks_.push_back(static_cast<std::uint32_t>(block));
+  };
+  visit(kInitialPairBits);
+  visit(flip_pair_bits(kInitialPairBits));
+  offsets_.push_back(0);
+  for (std::size_t i = 0; i < blocks_.size(); ++i) {
+    const Pair st{blocks_[i]};
+    pair_successors(options, st, [&](const Pair& next) {
+      succ_.push_back(static_cast<std::uint32_t>(next.bits));
+      visit(next.bits);
+    });
+    offsets_.push_back(static_cast<std::uint32_t>(succ_.size()));
+    clean_.push_back(check_pair(options, st).empty() ? 1 : 0);
+  }
+}
+
+void PairTable::rehash(std::size_t slots) {
+  shift_ = 64 - std::countr_zero(slots);
+  slots_.assign(slots, kEmptySlot);
+  for (std::uint32_t i = 0; i < blocks_.size(); ++i) place(i, blocks_[i]);
+}
+
+void PairTable::place(std::uint32_t index, std::uint64_t block) {
+  std::size_t s = (block * kMultiplier) >> shift_;
+  while (slots_[s] != kEmptySlot) s = (s + 1) & (slots_.size() - 1);
+  slots_[s] = (std::uint64_t{index} << 32) | block;
+}
+
+ReductionModel::ReductionModel(const McOptions& options)
+    : options_(options), table_(options) {
   if (options_.pairs < 1) options_.pairs = 1;
   if (options_.pairs > 2) options_.pairs = 2;  // 26 bits/pair, 64-bit key
 }
 
 std::vector<ReductionModel::State> ReductionModel::initial_states() const {
-  Pair pair{};  // all thinking, switch=0, trigger=0, pings true
-  pair.set_ping_flag(0, true);
-  pair.set_ping_flag(1, true);
   State initial{};
   for (int k = 0; k < options_.pairs; ++k) {
-    initial = with_pair(initial, k, pair);
+    initial.bits |= kInitialPairBits << (k * kPairBits);
   }
   return {initial};
 }
 
+void ReductionModel::emit_pair(const State& state, int k,
+                               std::vector<Transition<State>>& out) const {
+  const int shift = k * kPairBits;
+  const std::uint64_t rest = state.bits & ~(kPairMask << shift);
+  const std::uint64_t block = (state.bits >> shift) & kPairMask;
+  const std::uint32_t index = table_.find(block);
+  if (index == PairTable::kMissing) {
+    // Never reached by the engine (every reachable block is cached); kept
+    // so an arbitrary state still gets the exact relation.
+    pair_successors(options_, Pair{block}, [&](const Pair& next) {
+      out.push_back({State{rest | (next.bits << shift)}, kLabelNone});
+    });
+    return;
+  }
+  for (const std::uint32_t next : table_.successors(index)) {
+    out.push_back({State{rest | (std::uint64_t{next} << shift)}, kLabelNone});
+  }
+}
+
 void ReductionModel::successors(const State& state,
                                 std::vector<Transition<State>>& out) const {
-  for (int k = 0; k < options_.pairs; ++k) {
-    pair_successors(options_, pair_of(state, k), [&](const Pair& next) {
-      out.push_back({with_pair(state, k, next), kLabelNone});
-    });
-  }
+  for (int k = 0; k < options_.pairs; ++k) emit_pair(state, k, out);
 }
 
 std::string ReductionModel::check_state(const State& state) const {
   for (int k = 0; k < options_.pairs; ++k) {
     const Pair st = pair_of(state, k);
-    std::string bad = check_pair_invariants(st);
-    // Theorem 2 inductive step: a warmed-up witness meal over a live
-    // subject always holds a ping at judgment time.
-    if (bad.empty() && options_.check_accuracy && !st.crashed() &&
-        st.warmed(0) && st.warmed(1)) {
-      for (int i = 0; i < 2 && bad.empty(); ++i) {
-        if (st.w(i) == kE && !st.haveping(i)) {
-          bad = "Theorem 2 violated: wrongful suspicion after warm-up in "
-                "instance " +
-                std::to_string(i);
-        }
-      }
-    }
+    const std::uint32_t index = table_.find(st.bits);
+    if (index != PairTable::kMissing && table_.clean(index)) continue;
+    const std::string bad = check_pair(options_, st);
     if (!bad.empty()) {
       return bad + " | pair " + std::to_string(k) + ": " + describe_pair(st);
     }
@@ -317,32 +382,30 @@ std::string ReductionModel::check_state(const State& state) const {
 
 std::string ReductionModel::check_expansion(
     const State& state, const std::vector<Transition<State>>& edges) const {
+  // Theorem 1 structural check: once crashed with drained channels,
+  // nothing may set haveping again. `watched` holds, for every such pair,
+  // the haveping bits still clear; an edge violates it if it sets one.
   bool any_crashed = false;
+  std::uint64_t watched = 0;
   for (int k = 0; k < options_.pairs; ++k) {
-    any_crashed = any_crashed || pair_of(state, k).crashed();
+    const Pair st = pair_of(state, k);
+    if (!st.crashed()) continue;
+    any_crashed = true;
+    if (st.ping_chan(0) == 0 && st.ping_chan(1) == 0) {
+      watched |= (~st.bits & (3ull << Pair::kHavePing)) << (k * kPairBits);
+    }
   }
   if (edges.empty() && options_.check_deadlock && !any_crashed) {
     return "deadlock: " + describe(state);
   }
-  // Theorem 1 structural check: once crashed with drained channels,
-  // nothing may set haveping again.
-  for (int k = 0; k < options_.pairs; ++k) {
-    const Pair st = pair_of(state, k);
-    if (!st.crashed() || st.ping_chan(0) != 0 || st.ping_chan(1) != 0) {
-      continue;
-    }
-    for (const Transition<State>& t : edges) {
-      const Pair next = pair_of(t.to, k);
-      for (int i = 0; i < 2; ++i) {
-        if (!st.haveping(i) && next.haveping(i)) {
-          return "Theorem 1 violated: haveping set after crash with empty "
-                 "channels | pair " +
-                 std::to_string(k) + ": " + describe_pair(st);
-        }
-      }
-    }
-  }
-  return {};
+  if (watched == 0) return {};
+  std::uint64_t hits = 0;
+  for (const Transition<State>& t : edges) hits |= t.to.bits & watched;
+  if (hits == 0) return {};
+  const int k = std::countr_zero(hits) / kPairBits;  // the first such pair
+  return "Theorem 1 violated: haveping set after crash with empty "
+         "channels | pair " +
+         std::to_string(k) + ": " + describe_pair(pair_of(state, k));
 }
 
 int ReductionModel::code_bits() const { return kPairBits * options_.pairs; }
@@ -369,9 +432,7 @@ int ReductionModel::por_components() const { return options_.pairs; }
 
 void ReductionModel::component_successors(
     const State& state, int k, std::vector<Transition<State>>& out) const {
-  pair_successors(options_, pair_of(state, k), [&](const Pair& next) {
-    out.push_back({with_pair(state, k, next), kLabelNone});
-  });
+  emit_pair(state, k, out);
 }
 
 bool ReductionModel::component_quiescent(const State& state, int k) const {

@@ -40,9 +40,14 @@
 //    successor
 //  * Theorem 1 (structural): once q is crashed and the channels have
 //    drained, no transition can set haveping — suspicion is permanent.
+//
+// Pairs share no variables, so the per-pair relation and per-pair checks
+// are computed once, into a PairTable built by the model's constructor;
+// the per-state hooks compose their answers from it per pair block.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -69,6 +74,55 @@ struct McOptions {
   int pairs = 1;
 };
 
+/// One pair's transition relation and checks, computed once: every 26-bit
+/// pair block reachable from the initial block or from its flip (so the
+/// symmetry quotient's canonical blocks are inside too), each with its
+/// successor blocks in pair_successor_bits order (CSR) and one "clean" bit
+/// — pair_bits_clean, i.e. check_state's per-pair checks pass. Lookup is
+/// open addressing on the block, in a power-of-two table at least twice
+/// the block count. Immutable after construction, so concurrent workers
+/// read it without a lock.
+class PairTable {
+ public:
+  static constexpr std::uint32_t kMissing = ~std::uint32_t{0};
+
+  explicit PairTable(const McOptions& options);
+
+  /// Index of `block`, or kMissing when the block is not in the table.
+  std::uint32_t find(std::uint64_t block) const {
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t s = (block * kMultiplier) >> shift_;; s = (s + 1) & mask) {
+      const std::uint64_t slot = slots_[s];
+      if ((slot & 0xffffffffu) == block) {
+        return static_cast<std::uint32_t>(slot >> 32);
+      }
+      if (slot == kEmptySlot) return kMissing;
+    }
+  }
+
+  std::size_t size() const { return blocks_.size(); }
+  std::uint64_t block(std::uint32_t index) const { return blocks_[index]; }
+  std::span<const std::uint32_t> successors(std::uint32_t index) const {
+    return {succ_.data() + offsets_[index],
+            succ_.data() + offsets_[index + 1]};
+  }
+  bool clean(std::uint32_t index) const { return clean_[index] != 0; }
+
+ private:
+  static constexpr std::uint64_t kMultiplier = 0x9e3779b97f4a7c15ull;
+  static constexpr std::uint64_t kEmptySlot = ~std::uint64_t{0};
+
+  void rehash(std::size_t slots);  // power of two
+  void place(std::uint32_t index, std::uint64_t block);
+
+  std::vector<std::uint32_t> blocks_;
+  std::vector<std::uint32_t> offsets_;  // size() + 1 entries into succ_
+  std::vector<std::uint32_t> succ_;
+  std::vector<std::uint8_t> clean_;
+  std::vector<std::uint64_t> slots_;  // (index << 32) | block, or empty
+  int shift_ = 0;                     // 64 - log2(slots_.size())
+};
+
 /// mc::Model implementation of the reduction abstraction; drive it through
 /// mc::run_check (or the check_reduction convenience wrapper).
 class ReductionModel {
@@ -77,6 +131,8 @@ class ReductionModel {
     std::uint64_t bits = 0;  ///< 26 packed bits per pair
   };
 
+  /// Builds the PairTable: a BFS of the one-pair relation (a few thousand
+  /// blocks at most, well under a millisecond).
   explicit ReductionModel(const McOptions& options);
 
   std::vector<State> initial_states() const;
@@ -112,13 +168,29 @@ class ReductionModel {
   bool component_quiescent(const State& state, int k) const;
   bool por_stutter_invariant() const;
 
+  /// The cached per-pair relation every hook above reads.
+  const PairTable& pair_table() const { return table_; }
+
  private:
+  /// Append `state`'s successors that move pair k.
+  void emit_pair(const State& state, int k,
+                 std::vector<Transition<State>>& out) const;
+
   McOptions options_;
+  PairTable table_;
 };
 
 /// The per-pair instance flip on one 26-bit pair block (exposed for the
 /// automorphism test; canonical() composes it per pair).
 std::uint64_t flip_pair_bits(std::uint64_t pair_bits);
+
+/// The direct, uncached computations PairTable caches (exposed for the
+/// table test): the successor blocks of one 26-bit pair block in emission
+/// order, and whether the block passes check_state's per-pair checks (the
+/// lemma invariants, plus the Theorem 2 step under check_accuracy).
+std::vector<std::uint64_t> pair_successor_bits(const McOptions& options,
+                                               std::uint64_t pair_bits);
+bool pair_bits_clean(const McOptions& options, std::uint64_t pair_bits);
 
 /// Exhaustively explore the reduction model via mc::run_check.
 CheckResult check_reduction(const McOptions& options,

@@ -10,8 +10,12 @@
 #include <atomic>
 #include <cerrno>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <functional>
 #include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -24,7 +28,10 @@
 #include "mc/reduction_model.hpp"
 
 #if defined(__linux__)
+#include <dirent.h>
 #include <sys/mman.h>
+#include <sys/stat.h>
+#include <unistd.h>
 #endif
 
 namespace wfd::mc {
@@ -642,6 +649,208 @@ TEST(ReductionLevels, HandCountedOrbitsOnTinyModel) {
   }
 }
 
+// --- the reduction model's own checks ---------------------------------------
+
+// One pair's block of a packed ReductionModel state: 26 bits per pair.
+constexpr int kPairBits = 26;
+constexpr std::uint64_t kPairMask = (std::uint64_t{1} << kPairBits) - 1;
+
+// Every 26-bit pair block reachable from the initial one-pair state, by a
+// plain BFS over the model API.
+std::vector<std::uint64_t> reachable_pair_blocks(const McOptions& options) {
+  McOptions one = options;
+  one.pairs = 1;
+  const ReductionModel model(one);
+  std::set<std::uint64_t> reached;
+  std::vector<ReductionModel::State> frontier = model.initial_states();
+  for (const auto& s : frontier) reached.insert(s.bits);
+  std::vector<Transition<ReductionModel::State>> edges;
+  while (!frontier.empty()) {
+    std::vector<ReductionModel::State> next;
+    for (const auto& s : frontier) {
+      edges.clear();
+      model.successors(s, edges);
+      for (const auto& e : edges) {
+        if (reached.insert(e.to.bits).second) next.push_back(e.to);
+      }
+    }
+    frontier = std::move(next);
+  }
+  return {reached.begin(), reached.end()};
+}
+
+// The mistake prefix does not satisfy Theorem 2's suffix step, so checking
+// accuracy under kArbitrary must fail — the one regime in which the
+// reduction model's own check_state fires. Pinned counts for pairs 1/2 x
+// crash off/on; the counterexample is thread-count independent.
+TEST(ModelChecker, ArbitraryAccuracyReportsTheoremTwoAtDepth20) {
+  struct Pin {
+    int pairs;
+    bool crash;
+    std::uint64_t states, transitions;
+  };
+  for (const Pin& pin : {Pin{1, false, 313, 701}, Pin{1, true, 644, 1451},
+                         Pin{2, false, 14337, 60934},
+                         Pin{2, true, 52339, 234370}}) {
+    McOptions options;
+    options.mode = BoxMode::kArbitrary;
+    options.allow_crash = pin.crash;
+    options.check_accuracy = true;
+    options.check_deadlock = !pin.crash;
+    options.pairs = pin.pairs;
+    const CheckResult one = check_reduction(options, {.threads = 1});
+    EXPECT_EQ(one.verdict, Verdict::kViolation)
+        << "pairs=" << pin.pairs << " crash=" << pin.crash;
+    EXPECT_EQ(one.counterexample.rfind("Theorem 2 violated", 0), 0u)
+        << one.counterexample;
+    EXPECT_EQ(one.depth, 20u);
+    EXPECT_EQ(one.states, pin.states);
+    EXPECT_EQ(one.transitions, pin.transitions);
+    const CheckResult four = check_reduction(options, {.threads = 4});
+    EXPECT_EQ(four.verdict, one.verdict);
+    EXPECT_EQ(four.counterexample, one.counterexample);
+    EXPECT_EQ(four.states, one.states);
+    EXPECT_EQ(four.transitions, one.transitions);
+    EXPECT_EQ(four.depth, one.depth);
+  }
+}
+
+// check_expansion judges the edges it is handed (under POR a subset of all
+// successors), so it is driven here directly with built edges.
+TEST(ModelChecker, CheckExpansionReportsTheoremOneAndDeadlock) {
+  McOptions options;
+  options.mode = BoxMode::kExclusive;
+  options.allow_crash = true;
+  options.check_deadlock = true;
+  // A crashed block with both ping channels drained and no haveping set,
+  // and any block with a haveping set.
+  std::uint64_t drained = 0, pinged = 0;
+  bool have_drained = false, have_pinged = false;
+  for (const std::uint64_t block : reachable_pair_blocks(options)) {
+    const std::string text = describe_state(block);
+    if (!have_drained && text.find("CRASHED") != std::string::npos &&
+        text.find("chans=p00") != std::string::npos &&
+        text.find("haveping=00") != std::string::npos) {
+      drained = block;
+      have_drained = true;
+    }
+    if (!have_pinged && text.find("haveping=00") == std::string::npos) {
+      pinged = block;
+      have_pinged = true;
+    }
+  }
+  ASSERT_TRUE(have_drained && have_pinged);
+  using State = ReductionModel::State;
+  using Edges = std::vector<Transition<State>>;
+
+  const ReductionModel one(options);
+  EXPECT_EQ(one.check_expansion(State{drained}, Edges{{State{pinged}}})
+                .rfind("Theorem 1 violated", 0),
+            0u);
+  EXPECT_EQ(one.check_expansion(State{drained}, Edges{{State{drained}}}), "");
+  EXPECT_EQ(one.check_expansion(State{drained}, Edges{}), "")
+      << "a crashed state may have no successor";
+
+  // Two pairs: only the crashed, drained pair is watched, and the report
+  // names it.
+  McOptions two_pairs = options;
+  two_pairs.pairs = 2;
+  const ReductionModel two(two_pairs);
+  const std::uint64_t live = two.initial_states().front().bits & kPairMask;
+  const auto both = [](std::uint64_t pair0, std::uint64_t pair1) {
+    return State{pair0 | (pair1 << kPairBits)};
+  };
+  const std::string named = two.check_expansion(
+      both(live, drained), Edges{{both(live, pinged)}});
+  EXPECT_EQ(named.rfind("Theorem 1 violated", 0), 0u) << named;
+  EXPECT_NE(named.find("| pair 1:"), std::string::npos) << named;
+  EXPECT_EQ(two.check_expansion(both(drained, live),
+                                Edges{{both(drained, pinged)}}),
+            "")
+      << "a live pair may set haveping";
+
+  McOptions live_options;  // exclusive, no crash, deadlock checked
+  const ReductionModel live_model(live_options);
+  const std::string deadlock =
+      live_model.check_expansion(live_model.initial_states().front(), Edges{});
+  EXPECT_EQ(deadlock.rfind("deadlock: ", 0), 0u) << deadlock;
+}
+
+// --- the per-pair transition table ------------------------------------------
+
+// Every cached block, in all eight mode x crash x accuracy regimes, carries
+// exactly the direct computation: its successor blocks in emission order
+// and its clean bit. The table holds the initial block and its flip and is
+// closed under successors, so the engine never leaves it.
+TEST(PairTable, CachedBlocksMatchDirectComputation) {
+  for (const BoxMode mode : {BoxMode::kExclusive, BoxMode::kArbitrary}) {
+    for (const bool crash : {false, true}) {
+      for (const bool accuracy : {false, true}) {
+        McOptions options;
+        options.mode = mode;
+        options.allow_crash = crash;
+        options.check_accuracy = accuracy;
+        const ReductionModel model(options);
+        const PairTable& table = model.pair_table();
+        const std::uint64_t initial = model.initial_states().front().bits;
+        ASSERT_NE(table.find(initial), PairTable::kMissing);
+        ASSERT_NE(table.find(flip_pair_bits(initial)), PairTable::kMissing);
+        std::size_t unclean = 0;
+        for (std::uint32_t i = 0; i < table.size(); ++i) {
+          const std::uint64_t block = table.block(i);
+          ASSERT_EQ(table.find(block), i);
+          const std::span<const std::uint32_t> cached = table.successors(i);
+          const std::vector<std::uint64_t> direct =
+              pair_successor_bits(options, block);
+          ASSERT_EQ(std::vector<std::uint64_t>(cached.begin(), cached.end()),
+                    direct)
+              << "mode=" << static_cast<int>(mode) << " crash=" << crash
+              << " accuracy=" << accuracy << " " << describe_state(block);
+          for (const std::uint64_t next : direct) {
+            ASSERT_NE(table.find(next), PairTable::kMissing);
+          }
+          ASSERT_EQ(table.clean(i), pair_bits_clean(options, block))
+              << describe_state(block);
+          unclean += table.clean(i) ? 0 : 1;
+        }
+        // Theorem 2 fails only where the mistake prefix is checked for it.
+        EXPECT_EQ(unclean != 0, accuracy && mode == BoxMode::kArbitrary);
+      }
+    }
+  }
+}
+
+// A block outside the table (the engine never builds one) still gets the
+// exact relation and checks, computed directly.
+TEST(PairTable, MissedBlockFallsBackToDirectComputation) {
+  McOptions options;
+  options.mode = BoxMode::kArbitrary;
+  options.allow_crash = true;
+  options.pairs = 2;
+  const ReductionModel model(options);
+  const std::uint64_t live = model.initial_states().front().bits & kPairMask;
+  for (const std::uint64_t missed : {std::uint64_t{0}, kPairMask}) {
+    ASSERT_EQ(model.pair_table().find(missed), PairTable::kMissing);
+    const ReductionModel::State state{live | (missed << kPairBits)};
+    std::vector<Transition<ReductionModel::State>> edges;
+    model.successors(state, edges);
+    std::vector<std::uint64_t> expect;
+    for (const std::uint64_t next : pair_successor_bits(options, live)) {
+      expect.push_back(next | (missed << kPairBits));
+    }
+    for (const std::uint64_t next : pair_successor_bits(options, missed)) {
+      expect.push_back(live | (next << kPairBits));
+    }
+    std::vector<std::uint64_t> got;
+    for (const auto& e : edges) got.push_back(e.to.bits);
+    EXPECT_EQ(got, expect) << describe_state(missed);
+    EXPECT_FALSE(pair_bits_clean(options, missed));
+    const std::string bad = model.check_state(state);
+    EXPECT_EQ(bad.rfind("Lemma", 0), 0u) << bad;
+    EXPECT_NE(bad.find("| pair 1:"), std::string::npos) << bad;
+  }
+}
+
 // --- the spillable frontier ------------------------------------------------
 
 // A 1-byte budget forces every sealed frontier segment to disk; the
@@ -681,6 +890,103 @@ TEST(ParallelEngine, SpillComposesWithReductions) {
   EXPECT_EQ(spilled.verdict, base.verdict);
   EXPECT_GT(spilled.spilled_bytes, 0u);
 }
+
+#if WFD_MC_FRONTIER_CAN_SPILL
+// The spill read-back helper reports what stopped it instead of returning
+// a partly filled buffer: a descriptor that cannot pread, and a file
+// shorter than the request.
+TEST(ParallelEngine, SpillReadReportsPipeAndShortFile) {
+  std::uint64_t words[4] = {};
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  EXPECT_EQ(detail::pread_exact(fds[0], words, sizeof words, 0),
+            std::strerror(ESPIPE));
+  ::close(fds[0]);
+  ::close(fds[1]);
+
+  std::FILE* file = std::tmpfile();
+  ASSERT_NE(file, nullptr);
+  const std::uint64_t word = 42;
+  ASSERT_EQ(std::fwrite(&word, sizeof word, 1, file), 1u);
+  ASSERT_EQ(std::fflush(file), 0);
+  EXPECT_EQ(detail::pread_exact(::fileno(file), words, sizeof words, 0),
+            "end of file after 8 of 32 bytes");
+  EXPECT_EQ(detail::pread_exact(::fileno(file), words, sizeof word, 0), "");
+  EXPECT_EQ(words[0], word);
+  std::fclose(file);
+}
+#endif
+
+#if defined(__linux__)
+// A complete binary tree (heap-numbered codes) whose last level, 16384
+// leaves, spans four spilled segments; checking the first leaf truncates
+// every spill file the check opened, so the level's later chunks read end
+// of file. The check must stop on that, not expand the stale scratch
+// buffer.
+struct TruncatingTreeModel {
+  struct State {
+    std::uint64_t bits = 0;
+  };
+  static constexpr std::uint64_t kFirstLeaf = (1u << 14) - 1;
+  std::set<int> fds_before;
+  mutable bool truncated = false;
+
+  std::vector<State> initial_states() const { return {State{0}}; }
+  void successors(const State& st, std::vector<Transition<State>>& out) const {
+    if (st.bits >= kFirstLeaf) return;
+    out.push_back({State{2 * st.bits + 1}, kLabelNone});
+    out.push_back({State{2 * st.bits + 2}, kLabelNone});
+  }
+  std::string check_state(const State& st) const {
+    if (st.bits >= kFirstLeaf && !truncated) {
+      truncated = true;
+      for (const int fd : open_fds()) {
+        struct stat info {};
+        if (fds_before.count(fd) == 0 && ::fstat(fd, &info) == 0 &&
+            S_ISREG(info.st_mode) && info.st_nlink == 0) {
+          EXPECT_EQ(::ftruncate(fd, 0), 0);  // an unlinked spill file
+        }
+      }
+    }
+    return {};
+  }
+  std::string check_expansion(const State&,
+                              const std::vector<Transition<State>>&) const {
+    return {};
+  }
+  std::string describe(const State& st) const {
+    return std::to_string(st.bits);
+  }
+
+  static std::set<int> open_fds() {
+    std::set<int> fds;
+    DIR* dir = ::opendir("/proc/self/fd");
+    if (dir == nullptr) return fds;
+    while (const dirent* entry = ::readdir(dir)) {
+      if (entry->d_name[0] != '.') fds.insert(std::atoi(entry->d_name));
+    }
+    ::closedir(dir);
+    return fds;
+  }
+};
+
+static_assert(Model<TruncatingTreeModel>);
+
+TEST(ParallelEngine, SpillReadFailureStopsTheCheck) {
+  TruncatingTreeModel model;
+  model.fds_before = TruncatingTreeModel::open_fds();
+  const CheckResult result =
+      run_check(model, {.threads = 1, .frontier_budget_bytes = 1});
+  ASSERT_TRUE(model.truncated);
+  EXPECT_EQ(result.verdict, Verdict::kViolation);
+  EXPECT_EQ(result.counterexample.rfind(
+                "engine error: frontier spill read failed", 0),
+            0u)
+      << result.counterexample;
+  EXPECT_NE(result.counterexample.find("end of file"), std::string::npos);
+  EXPECT_GT(result.spilled_bytes, 0u);
+}
+#endif
 
 // --- the compact codec and seen-set, directly -------------------------------
 
