@@ -355,7 +355,6 @@ struct ConfigRun::Impl {
       engine_config.trace_capacity = capture->trace_capacity;
       engine_config.trace_retain_kinds = capture->retain_kinds;
       engine_config.metrics = capture->metrics;
-      engine_config.transit = capture->transit;
     }
     return engine_config;
   }

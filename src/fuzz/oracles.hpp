@@ -34,7 +34,7 @@
 
 #include "fuzz/config.hpp"
 #include "obs/metrics.hpp"
-#include "sim/engine.hpp"  // TransitKind
+#include "sim/engine.hpp"
 #include "sim/trace.hpp"
 #include "sim/types.hpp"
 
@@ -94,10 +94,6 @@ struct RunCapture {
   std::size_t trace_capacity = 1 << 20;           ///< retained-event bound
   std::uint64_t retain_kinds = sim::kAllEventKinds;  ///< retention kind mask
   obs::Registry* metrics = nullptr;               ///< optional registry
-  /// Engine transit storage. Both modes are bit-identical by contract
-  /// (tests/test_soa_engine.cpp runs the whole conformance corpus under
-  /// both and compares traces), so this, too, never perturbs the run.
-  sim::TransitKind transit = sim::TransitKind::kCalendar;
   // --- outputs ---
   std::vector<sim::Event> events;  ///< retained trace, in emission order
   std::uint64_t truncated = 0;     ///< retained-kind events past capacity

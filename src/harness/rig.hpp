@@ -24,7 +24,6 @@ struct RigOptions {
   std::size_t trace_capacity = 0;
   sim::Time delay_min = 1;
   sim::Time delay_max = 8;
-  sim::TransitKind transit = sim::TransitKind::kCalendar;
 };
 
 /// Engine + hosts + per-host <>P oracle modules.
@@ -32,8 +31,7 @@ class Rig {
  public:
   explicit Rig(const RigOptions& options)
       : engine(sim::EngineConfig{.seed = options.seed,
-                                 .trace_capacity = options.trace_capacity,
-                                 .transit = options.transit}) {
+                                 .trace_capacity = options.trace_capacity}) {
     for (sim::ProcessId p = 0; p < options.n; ++p) {
       auto host = std::make_unique<sim::ComponentHost>();
       hosts.push_back(host.get());

@@ -47,9 +47,6 @@ ProcessId Engine::add_process(std::unique_ptr<Process> process) {
   const ProcessId pid = static_cast<ProcessId>(processes_.size());
   process->id_ = pid;
   processes_.push_back(std::move(process));
-  // SoA mode shares one transit store; materializing a CalendarQueue per
-  // destination here would reintroduce the per-process footprint it avoids.
-  if (config_.transit == TransitKind::kCalendar) inbound_.emplace_back();
   crashed_.push_back(false);
   crash_at_.push_back(kNever);
   return pid;
@@ -107,15 +104,8 @@ bool Engine::try_retransmit(ProcessId src, ProcessId dst, Port port,
     const Time transit = delay_uniform_
                              ? delay_min_ + net_->rng.below(delay_span_)
                              : delay_->delay(src, dst, attempt, net_->rng);
-    const Time deliver_at = attempt + (transit < 1 ? Time{1} : transit);
-    Message& slot =
-        soa_ ? soa_->push(deliver_at, dst) : inbound_[dst].push(deliver_at);
-    slot.src = src;
-    slot.dst = dst;
-    slot.port = port;
-    slot.payload = payload;
-    slot.sent_at = now_;
-    slot.seq = next_seq_++;
+    enqueue(attempt + (transit < 1 ? Time{1} : transit), src, dst, port,
+            payload);
     return true;
   }
   return false;
@@ -149,9 +139,7 @@ void Engine::init() {
   }
   sender_epoch_.assign(processes_.size(), 0);
   recv_epoch_ = 0;
-  if (config_.transit == TransitKind::kSoa && !soa_) {
-    soa_ = std::make_unique<SoaTransit>(processes_.size());
-  }
+  transit_.reset(processes_.size());
   initialized_ = true;
   for (ProcessId pid = 0; pid < processes_.size(); ++pid) {
     Context ctx(*this, pid);
@@ -172,12 +160,7 @@ void Engine::apply_crashes_due() {
     ++stats_.crashes;
     // A crashed process never takes another step; pending inbound traffic
     // can never be observed, so discard it now.
-    if (soa_) {
-      stats_.messages_dropped += soa_->clear_dst(pid);
-    } else {
-      stats_.messages_dropped += inbound_[pid].size();
-      inbound_[pid].clear();
-    }
+    stats_.messages_dropped += transit_.clear_dst(pid);
     trace_.emit(EventKind::kCrash, now_, pid);
     const std::size_t pos = live_pos_[pid];
     live_.erase(live_.begin() + static_cast<std::ptrdiff_t>(pos));
@@ -185,42 +168,14 @@ void Engine::apply_crashes_due() {
   }
 }
 
-void Engine::deliver_phase_soa(ProcessId pid, Context& ctx) {
-  // Same step semantics as deliver_phase below, over the shared SoA store:
-  // advance() already scattered everything due onto pid's ready list, in
-  // exact (deliver_at, seq) order, so the walk here is a pure list drain —
-  // no per-destination calendar probe.
-  if (!soa_->has_ready(pid)) return;
-  const std::uint64_t epoch = ++recv_epoch_;
-  std::uint64_t* const stamps = sender_epoch_.data();
-  Process* const proc = processes_[pid].get();
-  const Time now = now_;
-  std::uint64_t delivered = 0;
-  soa_->drain_ready(pid, [&](const InTransit& item) {
-    const ProcessId src = item.msg.src;
-    if (stamps[src] == epoch) return false;  // defer the duplicate
-    stamps[src] = epoch;
-    ++delivered;
-    trace_.emit(EventKind::kDeliver, now, pid, src, item.msg.port,
-                item.msg.payload.kind);
-    proc->on_message(ctx, item.msg);
-    return true;
-  });
-  stats_.messages_delivered += delivered;
-}
-
 void Engine::deliver_phase(ProcessId pid, Context& ctx) {
-  if (soa_) {
-    deliver_phase_soa(pid, ctx);
-    return;
-  }
   // Receive at most one deliverable message per sender (Section 4's step
-  // semantics). Later-deadline duplicates from the same sender stay in the
-  // queue's deferred band for subsequent steps; reliability is preserved
-  // because deadlines are finite and the process steps infinitely often
-  // while correct.
-  CalendarQueue& queue = inbound_[pid];
-  if (queue.size() == 0) return;
+  // semantics). advance() already scattered everything due onto pid's
+  // ready list in exact (deliver_at, seq) order, so this is a list drain.
+  // Later-deadline duplicates from the same sender stay on the list for
+  // subsequent steps; reliability is preserved because deadlines are
+  // finite and the process steps infinitely often while correct.
+  if (!transit_.has_ready(pid)) return;
   const std::uint64_t epoch = ++recv_epoch_;
   // Hoisted locals: on_message may send (mutating engine state the compiler
   // must otherwise assume aliases these), but never the clock, the stamp
@@ -229,7 +184,7 @@ void Engine::deliver_phase(ProcessId pid, Context& ctx) {
   Process* const proc = processes_[pid].get();
   const Time now = now_;
   std::uint64_t delivered = 0;
-  queue.drain_due(now, [&](const InTransit& item) {
+  transit_.drain_ready(pid, [&](const InTransit& item) {
     const ProcessId src = item.msg.src;
     if (stamps[src] == epoch) return false;  // defer the duplicate
     stamps[src] = epoch;
@@ -252,7 +207,7 @@ bool Engine::step() {
   // the destinations' ready lists (crashes above settle first, so traffic
   // for a just-crashed pid frees instead of scattering). Runs even when no
   // live process remains so the wheel clock stays tick-contiguous.
-  if (soa_) soa_->advance(now_);
+  transit_.advance(now_);
   if (live_.empty()) return false;
 
   const ProcessId pid = scheduler_->next(live_, now_, rng_);
@@ -308,11 +263,17 @@ bool Engine::run_until(const std::function<bool()>& pred,
   return pred();
 }
 
-std::size_t Engine::in_transit_count() const {
-  if (soa_) return soa_->size();
-  std::size_t total = 0;
-  for (const CalendarQueue& queue : inbound_) total += queue.size();
-  return total;
+std::size_t Engine::in_transit_count() const { return transit_.size(); }
+
+void Engine::enqueue(Time deliver_at, ProcessId src, ProcessId dst, Port port,
+                     const Payload& payload) {
+  Message& slot = transit_.push(deliver_at, dst);
+  slot.src = src;
+  slot.dst = dst;
+  slot.port = port;
+  slot.payload = payload;
+  slot.sent_at = now_;
+  slot.seq = next_seq_++;
 }
 
 void Engine::send_from(ProcessId src, ProcessId dst, Port port,
@@ -351,14 +312,7 @@ void Engine::send_from(ProcessId src, ProcessId dst, Port port,
     const Time transit = delay_->delay(src, dst, now_, rng_);
     deliver_at = now_ + (transit < 1 ? 1 : transit);
   }
-  Message& slot =
-      soa_ ? soa_->push(deliver_at, dst) : inbound_[dst].push(deliver_at);
-  slot.src = src;
-  slot.dst = dst;
-  slot.port = port;
-  slot.payload = payload;
-  slot.sent_at = now_;
-  slot.seq = next_seq_++;
+  enqueue(deliver_at, src, dst, port, payload);
   if (net_ && net_->config.dup_rate > 0.0 &&
       net_->rng.chance(net_->config.dup_rate)) {
     // Duplicate: a second in-flight copy of the same logical message,
@@ -366,15 +320,8 @@ void Engine::send_from(ProcessId src, ProcessId dst, Port port,
     // make no ordering promise anyway). It gets its own seq so transit
     // ordering stays a strict total order.
     const Time spread = net_->config.dup_spread < 1 ? 1 : net_->config.dup_spread;
-    const Time dup_at = deliver_at + 1 + net_->rng.below(spread);
-    Message& copy =
-        soa_ ? soa_->push(dup_at, dst) : inbound_[dst].push(dup_at);
-    copy.src = src;
-    copy.dst = dst;
-    copy.port = port;
-    copy.payload = payload;
-    copy.sent_at = now_;
-    copy.seq = next_seq_++;
+    enqueue(deliver_at + 1 + net_->rng.below(spread), src, dst, port,
+            payload);
     ++stats_.messages_duplicated;
   }
 }

@@ -3,19 +3,22 @@
 // is a pure function of (configuration, seed).
 //
 // Hot-path layout (one step = one scheduled process):
-//   * per-destination CalendarQueue transit queues — O(1) push, bulk-ordered
-//     collect, in-place deferral (sim/transit_queue.hpp);
+//   * one shared transit store for every destination (sim/soa_transit.hpp):
+//     O(1) push into a two-level timing wheel, one advance() per tick that
+//     scatters everything due onto per-destination ready lists, so the
+//     receive phase is a list drain with in-place deferral;
 //   * pending crashes kept as a time-sorted band, so the no-crash-due common
 //     case is a single comparison instead of an all-process scan;
 //   * the receive phase stamps senders with a step epoch instead of
-//     refilling a seen-bitmap, and defers duplicates inside the queue's
-//     ready band instead of popping into a side buffer and re-pushing;
+//     refilling a seen-bitmap, and leaves duplicates in place on the ready
+//     list instead of popping into a side buffer and re-pushing;
 //   * trace emission is a branch-and-return unless the event kind is
 //     enabled (sim/trace.hpp).
 // None of this may change observable behavior: delivery follows exact
 // (deliver_at, seq) order and the RNG draw sequence is untouched, so traces
 // stay byte-identical to the pre-overhaul heap engine (pinned by
-// tests/test_determinism.cpp).
+// tests/test_determinism.cpp and by the per-vector fingerprints in
+// tests/test_soa_engine.cpp).
 #pragma once
 
 #include <cassert>
@@ -31,7 +34,6 @@
 #include "sim/scheduler.hpp"
 #include "sim/soa_transit.hpp"
 #include "sim/trace.hpp"
-#include "sim/transit_queue.hpp"
 #include "sim/types.hpp"
 
 namespace wfd::sim {
@@ -59,20 +61,6 @@ struct EngineStats {
   std::uint64_t messages_retransmitted = 0;
 };
 
-/// Transit-layer storage strategy. Both modes deliver in exact
-/// (deliver_at, seq) order with identical RNG draw sequences, so a run is
-/// bit-identical under either (pinned by tests/test_soa_engine.cpp); they
-/// differ only in memory layout and throughput at large n.
-enum class TransitKind : std::uint8_t {
-  /// Per-destination CalendarQueue objects (sim/transit_queue.hpp): ~6 KiB
-  /// of bucket headers per process. Fine to n~1e3; the default.
-  kCalendar,
-  /// One shared slot pool + two-level hierarchical wheel + per-destination
-  /// ready lists (sim/soa_transit.hpp): O(1) per-process footprint, cache-
-  /// dense to n=1e6.
-  kSoa,
-};
-
 struct EngineConfig {
   std::uint64_t seed = 0x5eed;
   /// Events retained in memory for offline inspection (observers always run).
@@ -94,8 +82,6 @@ struct EngineConfig {
   /// (destination, step) times the number of registered layers — checked
   /// loosely via this knob; 0 disables the check).
   std::uint32_t max_sends_per_step = 0;
-  /// Transit storage (see TransitKind). Behavior-neutral by contract.
-  TransitKind transit = TransitKind::kCalendar;
 };
 
 /// Discrete-event engine for the paper's asynchronous model.
@@ -173,7 +159,9 @@ class Engine {
   void send_from(ProcessId src, ProcessId dst, Port port, const Payload& payload);
   void apply_crashes_due();
   void deliver_phase(ProcessId pid, Context& ctx);
-  void deliver_phase_soa(ProcessId pid, Context& ctx);
+  /// Put one copy of a message in transit, due at `deliver_at`.
+  void enqueue(Time deliver_at, ProcessId src, ProcessId dst, Port port,
+               const Payload& payload);
   /// Retransmitting channel wrapper (net.retransmit_every > 0): after the
   /// adversary eats a send, re-offer it every retransmit_every ticks until
   /// one attempt survives (true; the message is in transit) or attempts run
@@ -217,11 +205,7 @@ class Engine {
   bool initialized_ = false;
 
   std::vector<std::unique_ptr<Process>> processes_;
-  std::vector<CalendarQueue> inbound_;     // per destination (kCalendar mode)
-  /// Shared SoA transit store; null in kCalendar mode. When set, inbound_
-  /// stays empty (its per-destination headers are the very footprint SoA
-  /// mode exists to avoid).
-  std::unique_ptr<SoaTransit> soa_;
+  SoaTransit transit_;  ///< every message in flight; sized by init()
   /// Byte per pid (not vector<bool>): tested on every send and step.
   std::vector<std::uint8_t> crashed_;
   std::vector<Time> crash_at_;             // kNever if correct

@@ -1,15 +1,16 @@
-// Struct-of-arrays transit store: ONE shared message pool and ONE two-level
-// hierarchical calendar for the whole engine, replacing the per-destination
-// CalendarQueue array when EngineConfig::transit == TransitKind::kSoa.
+// Struct-of-arrays transit store: the engine's one message store. ONE
+// shared message pool and ONE two-level hierarchical calendar hold every
+// message in flight, for all destinations.
 //
-// Why: a CalendarQueue is ~6 KiB of bucket headers per destination. At
-// n = 1e6 that is ~6 GiB of mostly-cold headers, and every push lands in a
-// different destination's object — a guaranteed cache+TLB miss per message.
-// Worse, a destination that steps rarely (every ~n ticks under any fair
-// scheduler) keeps a stale per-queue clock, so at large n almost every push
-// overflows the 256-tick window into the sorted band. Here all hot state is
-// per-field contiguous: deliver times, link words and message bodies are
-// parallel arrays indexed by slot, and the calendar is shared, so its
+// Why one shared store: per-destination queues cost a fixed block of
+// bucket headers per process (a 256-tick calendar is ~6 KiB), so at
+// n = 1e6 they are gigabytes of mostly-cold headers, and every push lands
+// in a different destination's object — a cache and TLB miss per message.
+// A destination that steps rarely (every ~n ticks under any fair
+// scheduler) also keeps a stale per-queue clock, so at large n almost
+// every push overflows its window into a sorted band. Here all hot state
+// is per-field contiguous: deliver times, link words and message bodies
+// are parallel arrays indexed by slot, and the calendar is shared, so its
 // buckets stay resident no matter how many destinations exist.
 //
 // Layout (slot = index into the parallel arrays):
@@ -46,9 +47,11 @@
 //     prefix in (due, seq) order into an empty block;
 //   * scatter appends each tick's items behind whatever older (deferred or
 //     earlier-tick) items the ready list still holds.
-// Hence drain_ready visits exactly the sequence the per-destination
-// CalendarQueues would produce, and the engine's SoA mode is bit-identical
-// to the legacy mode (pinned by tests/test_soa_engine.cpp).
+// Hence drain_ready visits a destination's messages in exactly the order a
+// (deliver_at, seq) min-heap with a deferred FIFO in front would — the
+// reference model tests/test_soa_engine.cpp drives this store against —
+// and engine traces stay byte-identical to the original heap engine
+// (golden fingerprints in tests/test_determinism.cpp).
 #pragma once
 
 #include <algorithm>
@@ -56,10 +59,15 @@
 #include <cstdint>
 #include <vector>
 
-#include "sim/transit_queue.hpp"  // InTransit (shared consume-item shape)
 #include "sim/types.hpp"
 
 namespace wfd::sim {
+
+/// A message waiting in a channel, due at `deliver_at`.
+struct InTransit {
+  Time deliver_at = 0;
+  Message msg{};
+};
 
 class SoaTransit {
  public:
@@ -71,6 +79,7 @@ class SoaTransit {
   static constexpr std::size_t kNearSize = std::size_t{2} << kFarBits;
   static constexpr std::size_t kFarCount = 1024;  // far coverage: ~1M ticks
 
+  SoaTransit() = default;  ///< empty; reset() sizes it
   explicit SoaTransit(std::size_t n) { reset(n); }
 
   void reset(std::size_t n) {

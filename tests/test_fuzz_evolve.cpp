@@ -4,7 +4,7 @@
 //    milestones (runway families) or resumed in a forked child (crash-suffix
 //    families) produces the same signature, stats, failures, retained trace
 //    and obs counters as running the variant from t=0, on every conformance
-//    vector and under both transit stores;
+//    vector;
 //  * the corpus is order-independent — merging shard directories is a file
 //    union and loading admits the same set regardless of who wrote first;
 //  * campaign results are a pure function of the options, independent of
@@ -64,11 +64,9 @@ std::string counters_text(const obs::Registry& registry) {
 }
 
 /// Cold reference run: full trace retention, bound registry.
-CapturedRun run_cold_captured(const FuzzConfig& config,
-                              sim::TransitKind transit) {
+CapturedRun run_cold_captured(const FuzzConfig& config) {
   obs::Registry registry;
   RunCapture capture;
-  capture.transit = transit;
   capture.metrics = &registry;
   CapturedRun out;
   out.result = run_config(config, capture);
@@ -79,11 +77,9 @@ CapturedRun run_cold_captured(const FuzzConfig& config,
 
 /// The same run split into milestone stops via ConfigRun::advance_to.
 CapturedRun run_split_captured(const FuzzConfig& config,
-                               sim::TransitKind transit,
                                const std::vector<sim::Time>& stops) {
   obs::Registry registry;
   RunCapture capture;
-  capture.transit = transit;
   capture.metrics = &registry;
   CapturedRun out;
   ConfigRun run(config, &capture);
@@ -156,14 +152,8 @@ TEST(EvolveSnapshot, ResumeIsBitIdenticalToColdOnEveryConformanceVector) {
     const FuzzConfig config = normalize(scenario::to_fuzz_config(scenario));
     const std::vector<sim::Time> stops = {config.steps / 3,
                                           2 * config.steps / 3};
-    for (const sim::TransitKind transit :
-         {sim::TransitKind::kCalendar, sim::TransitKind::kSoa}) {
-      const std::string label =
-          scenario.name +
-          (transit == sim::TransitKind::kSoa ? " [soa]" : " [calendar]");
-      expect_same_run(run_cold_captured(config, transit),
-                      run_split_captured(config, transit, stops), label);
-    }
+    expect_same_run(run_cold_captured(config),
+                    run_split_captured(config, stops), scenario.name);
   }
 }
 
@@ -211,20 +201,17 @@ TEST(EvolveSnapshot, ForkedCrashInjectionEqualsColdReplay) {
 }
 
 TEST(EvolveCoverage, FeatureHashIsStableAcrossTransitsAndCaptureModes) {
-  // Satellite 1: same (config, seed) -> same feature hash, however the run
-  // is instrumented or stored. The signature is the fold of run_features.
+  // Same (config, seed) -> same feature hash, however the run is
+  // instrumented. The signature is the fold of run_features.
   for (int i = 0; i < 6; ++i) {
     const FuzzConfig config =
         normalize(sample_config(13, i, legal_targets()));
     const RunResult plain = run_config(config);
-    const CapturedRun calendar =
-        run_cold_captured(config, sim::TransitKind::kCalendar);
-    const CapturedRun soa = run_cold_captured(config, sim::TransitKind::kSoa);
-    EXPECT_EQ(plain.signature, calendar.result.signature);
-    EXPECT_EQ(plain.signature, soa.result.signature);
+    const CapturedRun captured = run_cold_captured(config);
+    EXPECT_EQ(plain.signature, captured.result.signature);
     // Coverage buckets are a pure function of (config, result) too.
     EXPECT_EQ(coverage_buckets(config, plain),
-              coverage_buckets(config, calendar.result));
+              coverage_buckets(config, captured.result));
   }
 }
 
