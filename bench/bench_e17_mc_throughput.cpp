@@ -23,9 +23,12 @@
 //
 // Sweep scheduling goes through harness::run_campaign with one JobMeta per
 // configuration; JobMeta::expected_for(symmetry) forwards the reduced
-// state count for symmetry rows (a full-space hint would pre-size the
-// seen-set several times past its fill — and on the 52-bit two-pair codes
-// the compact table only beats the classic one when the hint is honest).
+// state count for symmetry rows (a full-space hint would pre-size a hash
+// seen-set several times past its fill). The reduction model codes a
+// state by pair-table index — 20-24 bits for two pairs, 10-12 for one —
+// so every reduction row here checks into a bitmap seen-set of at most
+// 2 MiB, whatever its hint; each row records which representation its
+// seen-set ended on ("seen_table").
 //
 // Usage: bench_e17_mc_throughput [--quick] [--threads N] [--json out.json]
 #include <chrono>
@@ -151,9 +154,10 @@ int main(int argc, char** argv) {
                 mc::Reduction::kSymmetryPor, 516961, 166464);
   }
   // Spill demonstration: a frontier budget far below the headline space's
-  // working set; the exploration must come back identical, out of files.
+  // working set (its 20-bit frontier peaks near 54 KB); the exploration
+  // must come back identical, out of files.
   add_reduced(mc::BoxMode::kExclusive, false, true, 2, 4,
-              mc::Reduction::kNone, 516961, 516961, /*budget=*/128 * 1024);
+              mc::Reduction::kNone, 516961, 516961, /*budget=*/32 * 1024);
   if (!quick) {
     add_reduction(mc::BoxMode::kArbitrary, true, false, 2, 8340544);
     // The big (~8.3M-state) space, reduced, at the headline thread count.
@@ -235,6 +239,7 @@ int main(int argc, char** argv) {
         .field("depth", r.depth).field("seconds", row.seconds)
         .field("states_per_sec", static_cast<std::uint64_t>(rate))
         .field("seen_bytes", r.seen_bytes)
+        .field("seen_table", mc::seen_table_name(r.seen_table))
         .field("bytes_per_state", bytes_per_state)
         .field("graph_bytes", r.graph_bytes)
         .field("frontier_peak_bytes", r.frontier_peak_bytes)
@@ -403,12 +408,16 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::cout << "\nEngine shape: bit-packed frontier segments (disk-spillable "
-               "past a budget),\ncompact or classic lock-free seen-set (chosen "
-               "per code width), symmetry/POR\nreduction levels with identical "
-               "verdicts, persistent worker pool\n(std::barrier per BFS "
-               "level), CSR reachable graph for analyze hooks; identical\n"
-               "verdict and state count at every thread count (see "
-               "BENCH_e17.json for the\nrecorded pre/post comparisons).\n";
+  std::cout << "\nEngine shape: pair-table index codes (20-24 bits for two "
+               "pairs), bit-packed\nfrontier segments (disk-spillable past a "
+               "budget), a lock-free seen-set that\nis the smallest of a "
+               "bitmap over every code, a compact or a classic hash\ntable "
+               "(chosen per code width and fill; bitmap levels insert "
+               "directly),\n"
+               "symmetry/POR reduction levels with identical verdicts, "
+               "persistent worker pool\n(std::barrier per BFS level), CSR "
+               "reachable graph for analyze hooks; identical\nverdict and "
+               "state count at every thread count (see BENCH_e17.json for "
+               "the\nrecorded pre/post comparisons).\n";
   return shape_check.finish("E17");
 }

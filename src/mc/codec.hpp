@@ -3,9 +3,10 @@
 // Every engine-visible state is a packed integral key ("code"). Models that
 // declare how many of the low bits are actually significant (the CompactModel
 // hook `code_bits()`) let the engine store frontiers bit-packed at that exact
-// width and switch the seen-set to a 32-bit-entry compact table — bytes/state
-// drops several-fold on the big composed spaces. Models without the hook get
-// the full 8*sizeof(bits) width and behave exactly as before.
+// width and switch the seen-set to a 32-bit-entry compact table or, for narrow
+// codes, a bitmap over every code — bytes/state drops several-fold on the big
+// composed spaces. Models without the hook get the full 8*sizeof(bits) width
+// and behave exactly as before.
 //
 // Two storage primitives live here:
 //  * PackedCodeVector — an append-only vector of fixed-width codes packed

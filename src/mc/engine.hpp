@@ -3,15 +3,19 @@
 // Layer-synchronous BFS: all states at distance d are expanded (in parallel
 // chunks, by a persistent pool of worker threads synchronized with a
 // std::barrier) before any state at distance d+1. Deduplication goes through
-// a lock-free seen-set keyed by the model's packed state code — either the
-// classic 64-bit open-addressing table or, for models that declare
-// `code_bits()`, the bucketized 32-bit compact table (seen.hpp), whichever
-// is smaller at the current fill. The table is grown stop-the-world at the
-// level barrier — the only quiescent point, which is also what makes the
-// resize (and a switch from the classic to the compact table) safe without
-// hazard pointers: no worker holds a slot reference across a barrier.
-// CheckOptions::expected_states only pre-sizes it; without the hint the
-// table still ends in the smaller representation, reached by growth.
+// a lock-free seen-set keyed by the model's packed state code — the classic
+// 64-bit open-addressing table or, for models that declare `code_bits()`,
+// the bucketized 32-bit compact table or a bitmap over every code
+// (seen.hpp), whichever is smallest at the current fill. The set is grown
+// stop-the-world at the level barrier — the only quiescent point, which is
+// also what makes the resize (and a switch to a smaller representation)
+// safe without hazard pointers: no worker holds a slot reference across a
+// barrier. CheckOptions::expected_states only pre-sizes it; without the
+// hint the set still ends in the smallest representation, reached by
+// growth. Because the representation only changes at the barrier, the
+// insert path is chosen once per level: on a hash table each successor is
+// hashed, filtered, prefetched and inserted a state later; on the bitmap
+// it is inserted as soon as it is generated.
 //
 // The frontier itself is a hash-partitioned store of bit-packed code
 // segments (frontier.hpp) that can spill to temp files past
@@ -61,6 +65,7 @@
 #include <new>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -256,6 +261,7 @@ CheckResult run_check(const M& model, const CheckOptions& options = {}) {
   // violation, budget, or a model-error early out).
   const auto seal = [&](std::uint64_t graph_bytes) {
     result.seen_bytes = seen.peak_bytes();
+    result.seen_table = seen.kind();
     result.graph_bytes = graph_bytes;
     result.frontier_peak_bytes = frontier.peak_bytes();
     result.spilled_bytes = frontier.spilled_bytes();
@@ -310,13 +316,24 @@ CheckResult run_check(const M& model, const CheckOptions& options = {}) {
   // is exercised — and TSan-checkable — even on tiny models.
   constexpr std::size_t kMinChunk = 16;
 
+  // The seen-set's bitmap on levels where it is the live representation
+  // (written by the main thread at the barrier, like the table itself).
+  detail::BitmapSeenSet* bitmap = nullptr;
+
+  // `direct` (std::true_type on bitmap levels) picks the insert path at
+  // compile time. A bitmap insert is one bit test with no hash to compute
+  // and no probe to miss on, so there each successor is inserted as it is
+  // generated: no mix64, duplicate filter, insert lag or prefetch.
   auto expand = [&](detail::Worker<S>& out,
-                    detail::SpillableFrontier::Producer& produce) {
-    // Inserts run one state behind their prefetches: a state's edges are
-    // hashed and prefetched while the PREVIOUS state's batch (whose cache
-    // lines have had a whole state's worth of successor generation to
-    // arrive) is inserted. Insertion order within a level is irrelevant —
-    // the level's reached set is what matters — so the lag is free.
+                    detail::SpillableFrontier::Producer& produce,
+                    auto direct) {
+    constexpr bool kDirect = decltype(direct)::value;
+    // On a hash table, inserts run one state behind their prefetches: a
+    // state's edges are hashed and prefetched while the PREVIOUS state's
+    // batch (whose cache lines have had a whole state's worth of successor
+    // generation to arrive) is inserted. Insertion order within a level is
+    // irrelevant — the level's reached set is what matters — so the lag is
+    // free.
     const auto flush = [&] {
       for (const auto& p : out.pending) {
         if (seen.insert(p.code, p.hash)) produce.push(p.code);
@@ -364,6 +381,11 @@ CheckResult run_check(const M& model, const CheckOptions& options = {}) {
           if constexpr (kCollectGraph) {
             out.edge_codes.push_back({to_code, t.label});
           }
+          if constexpr (kDirect) {
+            // An invalid code has no bit; the level reports it and stops.
+            if (!invalid && bitmap->insert(to_code)) produce.push(to_code);
+            continue;
+          }
           const std::uint64_t hash = detail::mix64(to_code);
           if (out.filter[hash >> (64 - detail::Worker<S>::kFilterBits)] ==
               to_code) {
@@ -387,13 +409,23 @@ CheckResult run_check(const M& model, const CheckOptions& options = {}) {
                          model.describe(st));
           continue;
         }
-        flush();  // previous state's batch, prefetched a full state ago
-        std::swap(out.batch, out.pending);
+        if constexpr (!kDirect) {
+          flush();  // previous state's batch, prefetched a full state ago
+          std::swap(out.batch, out.pending);
+        }
         if constexpr (kCollectGraph) out.log.append(key, out.edge_codes);
       }
     }
     flush();  // drain the last state's lagged batch...
     produce.flush();  // ...and seal this worker's partial frontier segments
+  };
+  const auto expand_level = [&](detail::Worker<S>& out,
+                                detail::SpillableFrontier::Producer& produce) {
+    if (bitmap != nullptr) {
+      expand(out, produce, std::true_type{});
+    } else {
+      expand(out, produce, std::false_type{});
+    }
   };
 
   // Persistent worker pool: one std::barrier phase releases the workers
@@ -413,8 +445,8 @@ CheckResult run_check(const M& model, const CheckOptions& options = {}) {
       for (;;) {
         barrier.arrive_and_wait();  // level opens (or stop)
         if (stop) return;
-        expand(outs[static_cast<std::size_t>(w)],
-               producers[static_cast<std::size_t>(w)]);
+        expand_level(outs[static_cast<std::size_t>(w)],
+                     producers[static_cast<std::size_t>(w)]);
         if (wscope != nullptr) {
           const auto parked = Clock::now();
           barrier.arrive_and_wait();  // level closes
@@ -454,6 +486,7 @@ CheckResult run_check(const M& model, const CheckOptions& options = {}) {
     // already expanded (result.states) or in the current frontier.
     seen.reserve_level(result.states + level_size,
                        level_size * max_degree_seen);
+    bitmap = seen.bitmap();
     frontier.begin_level(std::clamp<std::size_t>(
         level_size / (static_cast<std::size_t>(workers) * 8), kMinChunk,
         2048));
@@ -461,7 +494,7 @@ CheckResult run_check(const M& model, const CheckOptions& options = {}) {
 
     const auto level_start = Clock::now();
     barrier.arrive_and_wait();  // open the level
-    expand(outs[0], producers[0]);
+    expand_level(outs[0], producers[0]);
     if (mscope != nullptr) {
       const auto parked = Clock::now();
       barrier.arrive_and_wait();  // close it: every worker is parked again

@@ -80,6 +80,21 @@ inline bool reduction_has_por(Reduction r) {
   return r == Reduction::kPor || r == Reduction::kSymmetryPor;
 }
 
+/// The seen-set representation a check ended on (seen.hpp): the classic
+/// 64-bit hash table, the compact 32-bit one, or the bitmap over every
+/// code. The engine picks it from the model's code width and the fill
+/// alone, so it is a fact about the run, not a knob.
+enum class SeenTable : std::uint8_t { kClassic, kCompact, kBitmap };
+
+inline const char* seen_table_name(SeenTable table) {
+  switch (table) {
+    case SeenTable::kClassic: return "classic";
+    case SeenTable::kCompact: return "compact";
+    case SeenTable::kBitmap: return "bitmap";
+  }
+  return "?";
+}
+
 /// Engine knobs, shared by every model.
 struct CheckOptions {
   /// Worker threads for the frontier exploration; 0 = hardware concurrency.
@@ -87,11 +102,13 @@ struct CheckOptions {
   /// Abort (verdict = kBudgetExceeded) past this count.
   std::uint64_t max_states = 50'000'000;
   /// Pre-size hint for the seen-set (reachable-state estimate), never a
-  /// requirement. 0 = unknown: the table starts small and grows at level
-  /// barriers, switching to the compact representation once that is the
-  /// smaller one, so an unhinted run ends in the representation a hinted
-  /// run starts with. Sweep runners forward this from campaign metadata so
-  /// big runs skip the rebuilds.
+  /// requirement. 0 = unknown: the set starts small and grows at level
+  /// barriers, switching to the compact table and then to the bitmap over
+  /// every code as each becomes the smallest, so an unhinted run ends in
+  /// the representation a hinted run starts with. Narrow codes need no
+  /// hint at all (a 20-bit bitmap is 128 KiB from the start). Sweep
+  /// runners forward this from campaign metadata so big runs skip the
+  /// rebuilds.
   std::uint64_t expected_states = 0;
   /// Optional metrics registry: the engine registers mc.states /
   /// mc.transitions / mc.levels counters, an mc.level_states_per_sec and a
@@ -123,6 +140,7 @@ struct CheckResult {
   int threads = 1;                ///< worker threads actually used
   std::uint64_t seen_bytes = 0;   ///< peak seen-set footprint (a rebuild
                                   ///< counts the old and new table)
+  SeenTable seen_table = SeenTable::kClassic;  ///< representation at the end
   std::uint64_t graph_bytes = 0;  ///< CSR reachable-graph footprint (0 if
                                   ///< the model has no analyze hook)
   Reduction reduction = Reduction::kNone;  ///< reduction level actually run

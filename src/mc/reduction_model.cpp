@@ -1,7 +1,10 @@
 #include "mc/reduction_model.hpp"
 
+#include <algorithm>
 #include <bit>
+#include <cassert>
 #include <sstream>
+#include <stdexcept>
 
 #include "mc/engine.hpp"
 
@@ -15,7 +18,7 @@ enum : std::uint64_t { kT = 0, kH = 1, kE = 2, kX = 3 };
 constexpr int kPairBits = 26;
 constexpr std::uint64_t kPairMask = (1ull << kPairBits) - 1;
 
-/// One ordered pair's 26-bit block of the packed state.
+/// One ordered pair's 26-bit block (a PairTable entry; states hold indices).
 struct Pair {
   std::uint64_t bits = 0;
 
@@ -63,10 +66,6 @@ struct Pair {
   bool crashed() const { return get(kCrashed, 1) != 0; }
   void set_crashed(bool v) { set(kCrashed, 1, v ? 1 : 0); }
 };
-
-Pair pair_of(const ReductionModel::State& state, int k) {
-  return Pair{(state.bits >> (k * kPairBits)) & kPairMask};
-}
 
 const char* thread_name(std::uint64_t v) {
   switch (v) {
@@ -298,23 +297,38 @@ PairTable::PairTable(const McOptions& options) {
   // The lookup table doubles before it would pass half full.
   rehash(64);
   const auto visit = [&](std::uint64_t block) {
-    if (find(block) != kMissing) return;
+    const std::uint32_t known = find(block);
+    if (known != kMissing) return known;
     if (2 * (blocks_.size() + 1) > slots_.size()) rehash(2 * slots_.size());
-    place(static_cast<std::uint32_t>(blocks_.size()), block);
+    const auto index = static_cast<std::uint32_t>(blocks_.size());
+    place(index, block);
     blocks_.push_back(static_cast<std::uint32_t>(block));
+    return index;
   };
-  visit(kInitialPairBits);
+  visit(kInitialPairBits);  // index 0
   visit(flip_pair_bits(kInitialPairBits));
   offsets_.push_back(0);
   for (std::size_t i = 0; i < blocks_.size(); ++i) {
     const Pair st{blocks_[i]};
     pair_successors(options, st, [&](const Pair& next) {
-      succ_.push_back(static_cast<std::uint32_t>(next.bits));
-      visit(next.bits);
+      succ_.push_back(visit(next.bits));
     });
     offsets_.push_back(static_cast<std::uint32_t>(succ_.size()));
-    clean_.push_back(check_pair(options, st).empty() ? 1 : 0);
+    std::uint8_t facts = check_pair(options, st).empty() ? kClean : 0;
+    if (st.crashed()) facts |= kCrashed;
+    if (st.crashed() && st.ping_chan(0) == 0 && st.ping_chan(1) == 0) {
+      facts |= kDrained;
+    }
+    facts |= static_cast<std::uint8_t>(st.get(Pair::kHavePing, 3) << 3);
+    facts_.push_back(facts);
   }
+  for (const std::uint32_t block : blocks_) {
+    flip_.push_back(find(flip_pair_bits(block)));
+    assert(flip_.back() != kMissing && "the table is closed under the flip");
+  }
+  // The initial block and its flip differ (switch and trigger invert), so
+  // size() >= 2 and an index takes at least one bit.
+  index_bits_ = static_cast<int>(std::bit_width(size() - 1));
 }
 
 void PairTable::rehash(std::size_t slots) {
@@ -330,34 +344,30 @@ void PairTable::place(std::uint32_t index, std::uint64_t block) {
 }
 
 ReductionModel::ReductionModel(const McOptions& options)
-    : options_(options), table_(options) {
+    : options_(options),
+      table_(options),
+      index_bits_(table_.index_bits()),
+      index_mask_(code_mask(index_bits_)) {
   if (options_.pairs < 1) options_.pairs = 1;
-  if (options_.pairs > 2) options_.pairs = 2;  // 26 bits/pair, 64-bit key
+  if (options_.pairs > 2) options_.pairs = 2;  // canonical() swaps two pairs
+}
+
+std::uint32_t ReductionModel::index_of(const State& state, int k) const {
+  const auto index = static_cast<std::uint32_t>(
+      (state.bits >> (k * index_bits_)) & index_mask_);
+  assert(index < table_.size() && "a state codes an index past the table");
+  return index;
 }
 
 std::vector<ReductionModel::State> ReductionModel::initial_states() const {
-  State initial{};
-  for (int k = 0; k < options_.pairs; ++k) {
-    initial.bits |= kInitialPairBits << (k * kPairBits);
-  }
-  return {initial};
+  return {State{0}};  // every pair at index 0, its initial block
 }
 
 void ReductionModel::emit_pair(const State& state, int k,
                                std::vector<Transition<State>>& out) const {
-  const int shift = k * kPairBits;
-  const std::uint64_t rest = state.bits & ~(kPairMask << shift);
-  const std::uint64_t block = (state.bits >> shift) & kPairMask;
-  const std::uint32_t index = table_.find(block);
-  if (index == PairTable::kMissing) {
-    // Never reached by the engine (every reachable block is cached); kept
-    // so an arbitrary state still gets the exact relation.
-    pair_successors(options_, Pair{block}, [&](const Pair& next) {
-      out.push_back({State{rest | (next.bits << shift)}, kLabelNone});
-    });
-    return;
-  }
-  for (const std::uint32_t next : table_.successors(index)) {
+  const int shift = k * index_bits_;
+  const std::uint64_t rest = state.bits & ~(index_mask_ << shift);
+  for (const std::uint32_t next : table_.successors(index_of(state, k))) {
     out.push_back({State{rest | (std::uint64_t{next} << shift)}, kLabelNone});
   }
 }
@@ -369,13 +379,11 @@ void ReductionModel::successors(const State& state,
 
 std::string ReductionModel::check_state(const State& state) const {
   for (int k = 0; k < options_.pairs; ++k) {
-    const Pair st = pair_of(state, k);
-    const std::uint32_t index = table_.find(st.bits);
-    if (index != PairTable::kMissing && table_.clean(index)) continue;
-    const std::string bad = check_pair(options_, st);
-    if (!bad.empty()) {
-      return bad + " | pair " + std::to_string(k) + ": " + describe_pair(st);
-    }
+    const std::uint32_t index = index_of(state, k);
+    if (table_.clean(index)) continue;
+    const Pair st{table_.block(index)};
+    return check_pair(options_, st) + " | pair " + std::to_string(k) + ": " +
+           describe_pair(st);
   }
   return {};
 }
@@ -383,49 +391,52 @@ std::string ReductionModel::check_state(const State& state) const {
 std::string ReductionModel::check_expansion(
     const State& state, const std::vector<Transition<State>>& edges) const {
   // Theorem 1 structural check: once crashed with drained channels,
-  // nothing may set haveping again. `watched` holds, for every such pair,
-  // the haveping bits still clear; an edge violates it if it sets one.
+  // nothing may set haveping again. Byte k of `watched` holds, for every
+  // such pair k, the haveping facts still clear; an edge violates it if
+  // its pair-k block has one of them set.
+  constexpr unsigned kHavePing = 3 * PairTable::kHavePing0;
   bool any_crashed = false;
-  std::uint64_t watched = 0;
+  std::uint32_t watched = 0;
   for (int k = 0; k < options_.pairs; ++k) {
-    const Pair st = pair_of(state, k);
-    if (!st.crashed()) continue;
-    any_crashed = true;
-    if (st.ping_chan(0) == 0 && st.ping_chan(1) == 0) {
-      watched |= (~st.bits & (3ull << Pair::kHavePing)) << (k * kPairBits);
-    }
+    const unsigned facts = table_.facts(index_of(state, k));
+    any_crashed = any_crashed || (facts & PairTable::kCrashed) != 0;
+    if (facts & PairTable::kDrained) watched |= (~facts & kHavePing) << (8 * k);
   }
   if (edges.empty() && options_.check_deadlock && !any_crashed) {
     return "deadlock: " + describe(state);
   }
-  if (watched == 0) return {};
-  std::uint64_t hits = 0;
-  for (const Transition<State>& t : edges) hits |= t.to.bits & watched;
-  if (hits == 0) return {};
-  const int k = std::countr_zero(hits) / kPairBits;  // the first such pair
-  return "Theorem 1 violated: haveping set after crash with empty "
-         "channels | pair " +
-         std::to_string(k) + ": " + describe_pair(pair_of(state, k));
+  for (int k = 0; k < options_.pairs; ++k) {  // the first such pair
+    const unsigned clear = (watched >> (8 * k)) & 0xffu;
+    if (clear == 0) continue;
+    for (const Transition<State>& t : edges) {
+      if ((table_.facts(index_of(t.to, k)) & clear) == 0) continue;
+      return "Theorem 1 violated: haveping set after crash with empty "
+             "channels | pair " +
+             std::to_string(k) + ": " +
+             describe_pair(Pair{block_of(state, k)});
+    }
+  }
+  return {};
 }
 
-int ReductionModel::code_bits() const { return kPairBits * options_.pairs; }
+int ReductionModel::code_bits() const { return index_bits_ * options_.pairs; }
 
 ReductionModel::State ReductionModel::canonical(const State& state,
                                                 Reduction level) const {
   if (!reduction_has_symmetry(level)) return state;
   std::uint64_t canon[2] = {0, 0};
   for (int k = 0; k < options_.pairs; ++k) {
-    const std::uint64_t p = (state.bits >> (k * kPairBits)) & kPairMask;
-    canon[k] = std::min(p, flip_pair_bits(p));
+    const std::uint32_t index = index_of(state, k);
+    canon[k] = std::min(index, table_.flip(index));
   }
   if (options_.pairs == 1) return {canon[0]};
   if (level == Reduction::kSymmetry) {
     // Full group: flips x pair swap. Flips act per slot, so the least
     // packed word is the least arrangement of the per-pair flip minima.
-    return {std::min(canon[0] | (canon[1] << kPairBits),
-                     canon[1] | (canon[0] << kPairBits))};
+    return {std::min(canon[0] | (canon[1] << index_bits_),
+                     canon[1] | (canon[0] << index_bits_))};
   }
-  return {canon[0] | (canon[1] << kPairBits)};  // kSymmetryPor: flips only
+  return {canon[0] | (canon[1] << index_bits_)};  // kSymmetryPor: flips only
 }
 
 int ReductionModel::por_components() const { return options_.pairs; }
@@ -436,18 +447,41 @@ void ReductionModel::component_successors(
 }
 
 bool ReductionModel::component_quiescent(const State& state, int k) const {
-  return pair_of(state, k).bits == kInitialPairBits;
+  return index_of(state, k) == 0;
 }
 
 bool ReductionModel::por_stutter_invariant() const { return true; }
 
+ReductionModel::State ReductionModel::state_of(
+    std::initializer_list<std::uint64_t> blocks) const {
+  if (blocks.size() != static_cast<std::size_t>(options_.pairs)) {
+    throw std::invalid_argument("state_of: one block per pair");
+  }
+  State state{};
+  int shift = 0;
+  for (const std::uint64_t block : blocks) {
+    const std::uint32_t index = table_.find(block);
+    if (index == PairTable::kMissing) {
+      throw std::invalid_argument("state_of: block outside the pair table: " +
+                                  describe_state(block));
+    }
+    state.bits |= std::uint64_t{index} << shift;
+    shift += index_bits_;
+  }
+  return state;
+}
+
+std::uint64_t ReductionModel::block_of(const State& state, int k) const {
+  return table_.block(index_of(state, k));
+}
+
 std::string ReductionModel::describe(const State& state) const {
-  if (options_.pairs == 1) return describe_pair(pair_of(state, 0));
+  if (options_.pairs == 1) return describe_pair(Pair{block_of(state, 0)});
   std::string out;
   for (int k = 0; k < options_.pairs; ++k) {
     if (k > 0) out += "  ||  ";
     out += "pair" + std::to_string(k) + "[" +
-           describe_pair(pair_of(state, k)) + "]";
+           describe_pair(Pair{block_of(state, k)}) + "]";
   }
   return out;
 }

@@ -21,11 +21,11 @@
 //  * optionally, a nondeterministic subject crash that freezes s_0/s_1.
 //
 // `McOptions::pairs = 2` composes two independent ordered pairs side by
-// side in one 52-bit packed state and explores every interleaving of the
-// product — the reachable space is exactly the product of the per-pair
-// spaces, which both scales the exploration workload and machine-checks
-// that the lemma lattice survives composition (the full extraction runs
-// N(N-1) such pairs concurrently).
+// side in one packed state and explores every interleaving of the product
+// — the reachable space is exactly the product of the per-pair spaces,
+// which both scales the exploration workload and machine-checks that the
+// lemma lattice survives composition (the full extraction runs N(N-1) such
+// pairs concurrently).
 //
 // Checked on every reachable state / transition (per pair):
 //  * Lemma 2:  s_i not eating  =>  ping_i = true
@@ -42,11 +42,17 @@
 //    drained, no transition can set haveping — suspicion is permanent.
 //
 // Pairs share no variables, so the per-pair relation and per-pair checks
-// are computed once, into a PairTable built by the model's constructor;
-// the per-state hooks compose their answers from it per pair block.
+// are computed once, into a PairTable built by the model's constructor.
+// A state holds one table index per pair (10-12 bits, where the raw pair
+// block is 26), so a two-pair code is 20-24 bits wide and the engine's
+// seen-set can be a bitmap over every code — SPIN's collapse compression,
+// with the PairTable as the component table. The per-state hooks compose
+// their answers from the table per pair index; only diagnostics decode a
+// block.
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <span>
 #include <string>
 #include <vector>
@@ -75,16 +81,27 @@ struct McOptions {
 };
 
 /// One pair's transition relation and checks, computed once: every 26-bit
-/// pair block reachable from the initial block or from its flip (so the
-/// symmetry quotient's canonical blocks are inside too), each with its
-/// successor blocks in pair_successor_bits order (CSR) and one "clean" bit
-/// — pair_bits_clean, i.e. check_state's per-pair checks pass. Lookup is
-/// open addressing on the block, in a power-of-two table at least twice
-/// the block count. Immutable after construction, so concurrent workers
-/// read it without a lock.
+/// pair block reachable from the initial block or from its flip, numbered
+/// in BFS order (index 0 is the initial block). The set is closed under
+/// successors and under the flip (the flip is an automorphism, so it maps
+/// the blocks reachable from one root onto those reachable from the other).
+/// Per index the table holds its successor indices in pair_successor_bits
+/// order (CSR), the index of its flip, and one byte of facts the model's
+/// hooks read instead of decoding the block. Lookup from a block is open
+/// addressing in a power-of-two table at least twice the block count; the
+/// hooks never need it, only construction and tests do. Immutable after
+/// construction, so concurrent workers read it without a lock.
 class PairTable {
  public:
   static constexpr std::uint32_t kMissing = ~std::uint32_t{0};
+
+  /// The facts byte of one block.
+  enum Fact : std::uint8_t {
+    kClean = 1 << 0,      ///< pair_bits_clean: the per-pair checks pass
+    kCrashed = 1 << 1,    ///< the subject has crashed
+    kDrained = 1 << 2,    ///< crashed with both ping channels empty
+    kHavePing0 = 1 << 3,  ///< haveping of instance 0; instance 1 is next
+  };
 
   explicit PairTable(const McOptions& options);
 
@@ -101,12 +118,17 @@ class PairTable {
   }
 
   std::size_t size() const { return blocks_.size(); }
+  /// Bits one index takes in a packed state: bit_width(size() - 1).
+  int index_bits() const { return index_bits_; }
   std::uint64_t block(std::uint32_t index) const { return blocks_[index]; }
   std::span<const std::uint32_t> successors(std::uint32_t index) const {
     return {succ_.data() + offsets_[index],
             succ_.data() + offsets_[index + 1]};
   }
-  bool clean(std::uint32_t index) const { return clean_[index] != 0; }
+  /// find(flip_pair_bits(block(index))), precomputed.
+  std::uint32_t flip(std::uint32_t index) const { return flip_[index]; }
+  std::uint8_t facts(std::uint32_t index) const { return facts_[index]; }
+  bool clean(std::uint32_t index) const { return facts_[index] & kClean; }
 
  private:
   static constexpr std::uint64_t kMultiplier = 0x9e3779b97f4a7c15ull;
@@ -118,9 +140,11 @@ class PairTable {
   std::vector<std::uint32_t> blocks_;
   std::vector<std::uint32_t> offsets_;  // size() + 1 entries into succ_
   std::vector<std::uint32_t> succ_;
-  std::vector<std::uint8_t> clean_;
+  std::vector<std::uint32_t> flip_;
+  std::vector<std::uint8_t> facts_;
   std::vector<std::uint64_t> slots_;  // (index << 32) | block, or empty
   int shift_ = 0;                     // 64 - log2(slots_.size())
+  int index_bits_ = 1;
 };
 
 /// mc::Model implementation of the reduction abstraction; drive it through
@@ -128,7 +152,7 @@ class PairTable {
 class ReductionModel {
  public:
   struct State {
-    std::uint64_t bits = 0;  ///< 26 packed bits per pair
+    std::uint64_t bits = 0;  ///< one PairTable index per pair, pair 0 lowest
   };
 
   /// Builds the PairTable: a BFS of the one-pair relation (a few thousand
@@ -143,7 +167,8 @@ class ReductionModel {
                               const std::vector<Transition<State>>& edges) const;
   std::string describe(const State& state) const;
 
-  /// CompactModel: significant low bits of the packed key (26 per pair).
+  /// CompactModel: significant low bits of the packed key (one table index
+  /// per pair: 20-24 bits for two pairs).
   int code_bits() const;
 
   /// SymmetricModel: least representative of `state`'s orbit. The renaming
@@ -156,8 +181,8 @@ class ReductionModel {
   State canonical(const State& state, Reduction level) const;
 
   /// PorModel: one independent component per pair (pair k's transitions
-  /// read and write only pair k's 26-bit block; the crash move is per-pair
-  /// too). Quiescent = the pair sits at its local initial block. Every
+  /// read and write only pair k's index; the crash move is per-pair too).
+  /// Quiescent = the pair sits at index 0, its local initial block. Every
   /// checked property is component-local (the lemma invariants, Theorem 2
   /// and Theorem 1 all quantify over one pair at a time, and deadlock goes
   /// through the engine's full-expansion proviso), so the stutter gate
@@ -168,20 +193,31 @@ class ReductionModel {
   bool component_quiescent(const State& state, int k) const;
   bool por_stutter_invariant() const;
 
+  /// The state whose pair k sits at the 26-bit block blocks[k] (one block
+  /// per pair), and back. A block outside the pair table has no code:
+  /// state_of throws std::invalid_argument for it.
+  State state_of(std::initializer_list<std::uint64_t> blocks) const;
+  std::uint64_t block_of(const State& state, int k) const;
+
   /// The cached per-pair relation every hook above reads.
   const PairTable& pair_table() const { return table_; }
 
  private:
+  /// Pair k's table index in `state`.
+  std::uint32_t index_of(const State& state, int k) const;
   /// Append `state`'s successors that move pair k.
   void emit_pair(const State& state, int k,
                  std::vector<Transition<State>>& out) const;
 
   McOptions options_;
   PairTable table_;
+  int index_bits_;
+  std::uint64_t index_mask_;
 };
 
 /// The per-pair instance flip on one 26-bit pair block (exposed for the
-/// automorphism test; canonical() composes it per pair).
+/// automorphism test; the PairTable precomputes it per index for
+/// canonical()).
 std::uint64_t flip_pair_bits(std::uint64_t pair_bits);
 
 /// The direct, uncached computations PairTable caches (exposed for the

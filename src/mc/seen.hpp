@@ -1,7 +1,8 @@
 // Seen-set implementations for the model-checking engine.
 //
-// Two lock-free membership tables share the same discipline (CAS inserts on
-// the hot path, stop-the-world growth only at the engine's level barrier):
+// Three lock-free membership sets share the same discipline (atomic inserts
+// on the hot path, stop-the-world growth only at the engine's level
+// barrier):
 //
 //  * SeenSet — the classic open-addressing table of raw 64-bit packed keys
 //    (8 bytes/slot, <=50% load). Works for any model; the all-ones key is
@@ -16,11 +17,15 @@
 //    space this is 64MB where the classic table needs 268MB. The rare
 //    bucket-overflow falls back to a small mutex-guarded stash (set
 //    semantics keep the exploration deterministic either way).
+//  * BitmapSeenSet — one bit per code in [0, 2^code_bits): no hash, no
+//    probe, never grows. 2^code_bits / 8 bytes whatever the fill, so it
+//    wins on narrow codes (2 MiB at 24 bits, 8.3M states or not).
 //
-// SeenIndex applies one rule — the smaller table for the model's code width
-// at the target fill — at construction (target = the expected-states hint)
-// and again at every growth (target = fill + projected inserts), moving the
-// keys from the classic into the compact table when the rule flips. Tables
+// SeenIndex applies one rule — the smallest representation for the model's
+// code width at the target fill — at construction (target = the
+// expected-states hint) and again at every growth (target = fill +
+// projected inserts), moving the keys into the new representation when the
+// rule names another one (classic -> compact -> bitmap, never back). Tables
 // of 2MB or more are their own anonymous mappings, so a freed table's pages
 // leave the process instead of lingering in the allocator's heap.
 #pragma once
@@ -41,6 +46,7 @@
 #endif
 
 #include "mc/codec.hpp"
+#include "mc/model.hpp"
 
 namespace wfd::mc {
 namespace detail {
@@ -324,16 +330,18 @@ class CompactSeenSet {
     std::unordered_set<std::uint64_t> old_stash = std::move(stash_);
     stash_.clear();
     rebuild(want);
-    for (std::size_t i = 0; i < old_slots; ++i) {
-      const std::uint32_t e = old.data[i];
-      if (e == 0) continue;
-      const std::uint64_t bucket = i / kBucketSlots;
-      const std::uint64_t h =
-          (bucket << old_rem_bits) | (e & ~kOccupied);
-      insert((h * kMulInv) & code_mask(code_bits_));
-    }
+    const auto reinsert = [this](std::uint64_t code) { insert(code); };
+    decode(old.data, old_slots, old_rem_bits, reinsert);
     for (const std::uint64_t code : old_stash) insert(code);
     return true;
+  }
+
+  /// Visit every stored code, stash included. Quiescent callers only (the
+  /// level barrier).
+  template <class F>
+  void for_each(F&& visit) const {
+    decode(slots_, slot_count_, rem_bits_, visit);
+    for (const std::uint64_t code : stash_) visit(code);
   }
 
   std::uint64_t capacity() const { return slot_count_; }
@@ -347,6 +355,20 @@ class CompactSeenSet {
 
  private:
   static constexpr std::uint64_t kMinSlots = 1ull << 16;
+
+  /// Invert every entry of a table laid out with `rem_bits` remainder bits
+  /// back into its code.
+  template <class F>
+  void decode(const std::uint32_t* slots, std::size_t count, int rem_bits,
+              F& visit) const {
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::uint32_t e = slots[i];
+      if (e == 0) continue;
+      const std::uint64_t bucket = i / kBucketSlots;
+      const std::uint64_t h = (bucket << rem_bits) | (e & ~kOccupied);
+      visit((h * kMulInv) & code_mask(code_bits_));
+    }
+  }
 
   static int bucket_bits_for(std::uint64_t slots) {
     int bits = 0;
@@ -376,58 +398,106 @@ class CompactSeenSet {
   std::unordered_set<std::uint64_t> stash_;
 };
 
-/// Facade over the two tables. One rule picks the representation: the
-/// smaller table for the model's code width at the target fill. It runs at
-/// construction, on the expected-states hint, and again at every growth, on
-/// fill + projected inserts: once the classic table's next size would be no
-/// smaller than the compact table, every key moves into a compact table and
-/// the classic one is freed. Growth only happens at the engine's level
-/// barrier, so the switch is as quiescent as any rebuild and membership
-/// stays exact. Once the rule picks the compact table it picks it for every
-/// larger fill too, so the switch is one-way.
+/// One bit per code in [0, 2^code_bits), on a zero-filled Slab of 64-bit
+/// words. Insert is a relaxed load, then a fetch_or only if the bit is
+/// clear, so a duplicate costs one load and no write; of several racing
+/// inserts of one code, exactly one sees the bit clear in its fetch_or.
+/// Nothing to hash, probe or grow.
+class BitmapSeenSet {
+ public:
+  static std::uint64_t bytes_for(int code_bits) {
+    return words_for(code_bits) * sizeof(std::uint64_t);
+  }
+
+  explicit BitmapSeenSet(int code_bits)
+      : code_bits_(code_bits),
+        storage_(static_cast<std::size_t>(words_for(code_bits))) {
+    assert(code_bits >= 1 && code_bits <= 63);
+  }
+
+  /// True iff `code` was not present. Safe to call from any worker thread.
+  bool insert(std::uint64_t code) {
+    assert((code >> code_bits_) == 0);
+    std::atomic_ref<std::uint64_t> word(storage_.data[code >> 6]);
+    const std::uint64_t bit = std::uint64_t{1} << (code & 63);
+    if (word.load(std::memory_order_relaxed) & bit) return false;
+    return (word.fetch_or(bit, std::memory_order_relaxed) & bit) == 0;
+  }
+
+  /// Every code it can hold.
+  std::uint64_t capacity() const { return std::uint64_t{1} << code_bits_; }
+  std::uint64_t bytes() const { return storage_.bytes(); }
+
+ private:
+  static std::uint64_t words_for(int code_bits) {
+    return ((std::uint64_t{1} << code_bits) + 63) / 64;
+  }
+
+  int code_bits_;
+  Slab<std::uint64_t> storage_;
+};
+
+/// Facade over the three sets. One rule picks the representation: the
+/// smallest one for the model's code width at the target fill (ties go to
+/// the bitmap, then the compact table). It runs at construction, on the
+/// expected-states hint, and again at every growth of the live table, on
+/// fill + projected inserts: when it names another representation, every
+/// key moves there and the old table is freed. Growth only happens at the
+/// engine's level barrier, so a switch is as quiescent as any rebuild and
+/// membership stays exact. The bitmap never grows and a hash table only
+/// grows, so the rule only ever moves on from classic to compact to
+/// bitmap; a switch in the other direction is never taken.
 class SeenIndex {
  public:
   SeenIndex(int code_bits, std::uint64_t expected_states)
       : code_bits_(code_bits) {
-    if (compact_wins(expected_states)) {
-      compact_ =
-          std::make_unique<CompactSeenSet>(code_bits, expected_states);
-    } else {
-      classic_ = std::make_unique<SeenSet>(expected_states);
-    }
+    become(pick(expected_states), expected_states);
     peak_bytes_ = bytes();
   }
 
   /// `mix_hash` must be mix64(code); the classic table probes with it (the
-  /// compact table derives its own multiplicative hash — one imul).
+  /// compact table derives its own multiplicative hash — one imul; the
+  /// bitmap needs none).
   bool insert(std::uint64_t code, std::uint64_t mix_hash) {
+    if (bitmap_) return bitmap_->insert(code);
     return compact_ ? compact_->insert(code)
                     : classic_->insert_hashed(mix_hash, code);
   }
-  bool insert(std::uint64_t code) {
-    return compact_ ? compact_->insert(code) : classic_->insert(code);
-  }
+  bool insert(std::uint64_t code) { return insert(code, mix64(code)); }
 
-  /// The cache line insert(code, mix_hash) probes first; the engine
-  /// prefetches it a state ahead of the insert.
+  /// The cache line insert(code, mix_hash) probes first on a hash table;
+  /// the engine prefetches it a state ahead of the insert.
   const void* home(std::uint64_t code, std::uint64_t mix_hash) const {
     return compact_ ? compact_->home(code) : classic_->home(mix_hash);
   }
 
-  /// Quiescent growth (the engine's level barrier only); may switch the
-  /// classic table for a compact one. See the class comment.
+  /// The bitmap while it is the live representation, else null. It only
+  /// changes at reserve_level, so the engine reads it once per level and
+  /// inserts into it directly.
+  BitmapSeenSet* bitmap() const { return bitmap_.get(); }
+
+  /// Quiescent growth (the engine's level barrier only); may switch to a
+  /// smaller representation. See the class comment.
   void reserve_level(std::uint64_t fill, std::uint64_t projected_inserts) {
+    if (bitmap_) return;  // holds every code already
     const std::uint64_t held = bytes();
     const std::uint64_t target = fill + projected_inserts;
+    const bool grows =
+        compact_ ? CompactSeenSet::slots_for(code_bits_, target) >
+                       compact_->capacity()
+                 : SeenSet::slots_for(target) > classic_->capacity();
+    const SeenTable next = pick(target);
     bool rebuilt = false;
-    if (compact_) {
-      rebuilt = compact_->reserve_level(fill, projected_inserts);
-    } else if (SeenSet::slots_for(target) > classic_->capacity() &&
-               compact_wins(target)) {
-      compact_ = std::make_unique<CompactSeenSet>(code_bits_, target);
-      classic_->for_each([this](std::uint64_t key) { compact_->insert(key); });
-      classic_.reset();
+    if (grows && next > kind()) {
+      const std::unique_ptr<SeenSet> classic = std::move(classic_);
+      const std::unique_ptr<CompactSeenSet> compact = std::move(compact_);
+      become(next, target);
+      const auto move_key = [this](std::uint64_t key) { insert(key); };
+      if (classic) classic->for_each(move_key);
+      if (compact) compact->for_each(move_key);
       rebuilt = true;
+    } else if (compact_) {
+      rebuilt = compact_->reserve_level(fill, projected_inserts);
     } else {
       rebuilt = classic_->reserve_level(fill, projected_inserts);
     }
@@ -435,30 +505,60 @@ class SeenIndex {
     if (rebuilt) peak_bytes_ = std::max(peak_bytes_, held + bytes());
   }
 
+  SeenTable kind() const {
+    return bitmap_    ? SeenTable::kBitmap
+           : compact_ ? SeenTable::kCompact
+                      : SeenTable::kClassic;
+  }
   std::uint64_t capacity() const {
-    return compact_ ? compact_->capacity() : classic_->capacity();
+    return bitmap_    ? bitmap_->capacity()
+           : compact_ ? compact_->capacity()
+                      : classic_->capacity();
   }
   std::uint64_t bytes() const {
-    return compact_ ? compact_->bytes() : classic_->bytes();
+    return bitmap_    ? bitmap_->bytes()
+           : compact_ ? compact_->bytes()
+                      : classic_->bytes();
   }
-  /// Most bytes held at once so far, rebuilds and the switch included.
+  /// Most bytes held at once so far, rebuilds and switches included.
   std::uint64_t peak_bytes() const { return std::max(peak_bytes_, bytes()); }
-  bool compact() const { return compact_ != nullptr; }
 
  private:
-  /// The one rule: is the compact table no larger than the classic one for
-  /// `target` states at this code width?
-  bool compact_wins(std::uint64_t target) const {
-    return code_bits_ <= 63 &&
-           CompactSeenSet::slots_for(code_bits_, target) *
-                   sizeof(std::uint32_t) <=
-               SeenSet::slots_for(target) * sizeof(std::uint64_t);
+  /// The one rule: the smallest representation for `target` states at
+  /// this code width.
+  SeenTable pick(std::uint64_t target) const {
+    const std::uint64_t classic =
+        SeenSet::slots_for(target) * sizeof(std::uint64_t);
+    const std::uint64_t compact =
+        code_bits_ <= 63 ? CompactSeenSet::slots_for(code_bits_, target) *
+                               sizeof(std::uint32_t)
+                         : classic + 1;
+    if (code_bits_ <= 63 &&
+        BitmapSeenSet::bytes_for(code_bits_) <= std::min(classic, compact)) {
+      return SeenTable::kBitmap;
+    }
+    return compact <= classic ? SeenTable::kCompact : SeenTable::kClassic;
+  }
+
+  void become(SeenTable kind, std::uint64_t target) {
+    switch (kind) {
+      case SeenTable::kBitmap:
+        bitmap_ = std::make_unique<BitmapSeenSet>(code_bits_);
+        break;
+      case SeenTable::kCompact:
+        compact_ = std::make_unique<CompactSeenSet>(code_bits_, target);
+        break;
+      case SeenTable::kClassic:
+        classic_ = std::make_unique<SeenSet>(target);
+        break;
+    }
   }
 
   int code_bits_;
   std::uint64_t peak_bytes_ = 0;
   std::unique_ptr<SeenSet> classic_;
   std::unique_ptr<CompactSeenSet> compact_;
+  std::unique_ptr<BitmapSeenSet> bitmap_;
 };
 
 }  // namespace detail

@@ -439,10 +439,37 @@ TEST(ReachViewTest, CsrLookupAndIteration) {
 
 // --- state-space reductions ------------------------------------------------
 
+// Every 26-bit pair block reachable from the initial one-pair state, by a
+// plain BFS over the model API (independent of the engine under test).
+std::vector<std::uint64_t> reachable_pair_blocks(const McOptions& options) {
+  McOptions one = options;
+  one.pairs = 1;
+  const ReductionModel model(one);
+  std::set<std::uint64_t> reached;
+  std::vector<ReductionModel::State> frontier = model.initial_states();
+  for (const auto& s : frontier) reached.insert(model.block_of(s, 0));
+  std::vector<Transition<ReductionModel::State>> edges;
+  while (!frontier.empty()) {
+    std::vector<ReductionModel::State> next;
+    for (const auto& s : frontier) {
+      edges.clear();
+      model.successors(s, edges);
+      for (const auto& e : edges) {
+        if (reached.insert(model.block_of(e.to, 0)).second) {
+          next.push_back(e.to);
+        }
+      }
+    }
+    frontier = std::move(next);
+  }
+  return {reached.begin(), reached.end()};
+}
+
 // The soundness of the symmetry quotient rests on the per-pair instance
 // flip being an automorphism of the pair transition relation. Check it
-// mechanically: for every reachable one-pair state s, in every regime,
-// flip(successors(s)) == successors(flip(s)) as labelled edge sets.
+// mechanically over 26-bit blocks: for every reachable one-pair block b, in
+// every regime, flip(successors(b)) == successors(flip(b)) as labelled edge
+// sets — and the table's precomputed flip index names flip(b).
 TEST(ReductionLevels, FlipIsAutomorphismOfPairSuccessors) {
   for (const BoxMode mode : {BoxMode::kExclusive, BoxMode::kArbitrary}) {
     for (const bool crash : {false, true}) {
@@ -451,37 +478,29 @@ TEST(ReductionLevels, FlipIsAutomorphismOfPairSuccessors) {
       options.allow_crash = crash;
       options.check_accuracy = mode == BoxMode::kExclusive;
       const ReductionModel model(options);
-      // Plain BFS over the model API (independent of the engine under test).
-      std::set<std::uint64_t> reached;
-      std::vector<ReductionModel::State> frontier = model.initial_states();
-      for (const auto& s : frontier) reached.insert(s.bits);
+      const PairTable& table = model.pair_table();
       std::vector<Transition<ReductionModel::State>> edges;
-      while (!frontier.empty()) {
-        std::vector<ReductionModel::State> next;
-        for (const auto& s : frontier) {
-          edges.clear();
-          model.successors(s, edges);
-          for (const auto& e : edges) {
-            if (reached.insert(e.to.bits).second) next.push_back(e.to);
-          }
-        }
-        frontier = std::move(next);
-      }
-      auto edge_set = [&](std::uint64_t bits) {
+      auto edge_set = [&](std::uint64_t block) {
         std::set<std::pair<std::uint64_t, std::uint8_t>> out;
         edges.clear();
-        model.successors(ReductionModel::State{bits}, edges);
-        for (const auto& e : edges) out.emplace(e.to.bits, e.label);
+        model.successors(model.state_of({block}), edges);
+        for (const auto& e : edges) {
+          out.emplace(model.block_of(e.to, 0), e.label);
+        }
         return out;
       };
-      for (const std::uint64_t bits : reached) {
+      for (const std::uint64_t block : reachable_pair_blocks(options)) {
+        const std::uint32_t index = table.find(block);
+        ASSERT_NE(index, PairTable::kMissing) << describe_state(block);
+        EXPECT_EQ(table.block(table.flip(index)), flip_pair_bits(block))
+            << describe_state(block);
         std::set<std::pair<std::uint64_t, std::uint8_t>> mapped;
-        for (const auto& [to, label] : edge_set(bits)) {
+        for (const auto& [to, label] : edge_set(block)) {
           mapped.emplace(flip_pair_bits(to), label);
         }
-        EXPECT_EQ(mapped, edge_set(flip_pair_bits(bits)))
+        EXPECT_EQ(mapped, edge_set(flip_pair_bits(block)))
             << "mode=" << static_cast<int>(mode) << " crash=" << crash
-            << " state=" << describe_state(bits);
+            << " state=" << describe_state(block);
       }
     }
   }
@@ -512,48 +531,99 @@ TEST(ReductionLevels, UnsupportedLevelsDowngrade) {
   EXPECT_EQ(r.reduction, Reduction::kNone);
 }
 
-// Every reduction level must return the identical verdict, and the counts
-// obey closed forms against the unreduced one-pair space:
-//  * kSymmetry stores only orbit representatives (>= 3x fewer states on the
-//    composed space — the ISSUE acceptance floor; measured ~6x);
+// Every reduction level must return the identical verdict, and in every
+// clean mode x crash x accuracy regime the two-pair counts obey closed
+// forms in the one-pair state count R, transition count E, depth d1 and
+// symmetry count C (the pairs share no variables):
+//  * kNone is the product space: R^2 states, 2*R*E transitions, depth 2*d1;
+//  * kSymmetry stores one state per unordered pair of flip orbits,
+//    C*(C+1)/2 (>= 3x fewer than kNone — the acceptance floor);
 //  * kPor preserves the reachable STATE SET exactly and prunes commuting
-//    interleavings: transitions drop from 2*c*t to (c+1)*t;
-//  * kSymmetryPor composes flips with the component ordering: exactly the
-//    square of the one-pair symmetry count.
+//    interleavings: transitions drop from 2*R*E to (R+1)*E;
+//  * kSymmetryPor composes flips with the component ordering: exactly C^2.
+// The two arbitrary-mode regimes that check accuracy stop on Theorem 2 at
+// depth 20 at every level; their counts are pinned.
 TEST(ReductionLevels, TwoPairClosedFormsAtEveryLevel) {
-  McOptions one;  // exclusive suffix, no crash
-  const CheckResult single = check_reduction(one, {.threads = 2});
-  ASSERT_TRUE(single.ok()) << single.counterexample;
-  const CheckResult single_sym =
-      check_reduction(one, {.threads = 2, .reduction = Reduction::kSymmetry});
-  ASSERT_TRUE(single_sym.ok()) << single_sym.counterexample;
-  EXPECT_EQ(single_sym.reduction, Reduction::kSymmetry);
-  EXPECT_LT(single_sym.states, single.states);
+  constexpr Reduction kLevels[] = {Reduction::kNone, Reduction::kSymmetry,
+                                   Reduction::kPor, Reduction::kSymmetryPor};
+  struct Pin {
+    std::uint64_t states, transitions;
+  };
+  for (const BoxMode mode : {BoxMode::kExclusive, BoxMode::kArbitrary}) {
+    for (const bool crash : {false, true}) {
+      for (const bool accuracy : {false, true}) {
+        McOptions one;
+        one.mode = mode;
+        one.allow_crash = crash;
+        one.check_accuracy = accuracy;
+        McOptions two = one;
+        two.pairs = 2;
+        const std::string regime =
+            std::string(mode == BoxMode::kExclusive ? "excl" : "arb") +
+            (crash ? "_crash" : "") + (accuracy ? " accuracy" : "");
+        std::vector<CheckResult> at;
+        for (const Reduction level : kLevels) {
+          at.push_back(
+              check_reduction(two, {.threads = 4, .reduction = level}));
+          EXPECT_EQ(at.back().reduction, level) << regime;
+        }
 
-  McOptions two = one;
-  two.pairs = 2;
-  const CheckResult none = check_reduction(two, {.threads = 4});
-  ASSERT_TRUE(none.ok()) << none.counterexample;
-  EXPECT_EQ(none.states, single.states * single.states);
+        if (mode == BoxMode::kArbitrary && accuracy) {
+          const Pin pins[2][4] = {
+              {{14337, 60934}, {7159, 30414}, {14337, 31168}, {14245, 30930}},
+              {{52339, 234370},
+               {26143, 116981},
+               {52339, 118636},
+               {52147, 118061}}};
+          for (std::size_t i = 0; i < at.size(); ++i) {
+            const CheckResult& r = at[i];
+            const char* level = reduction_name(kLevels[i]);
+            EXPECT_EQ(r.verdict, Verdict::kViolation) << regime << " " << level;
+            EXPECT_EQ(r.counterexample.rfind("Theorem 2 violated", 0), 0u)
+                << regime << " " << level << ": " << r.counterexample;
+            EXPECT_EQ(r.depth, 20u) << regime << " " << level;
+            EXPECT_EQ(r.states, pins[crash][i].states)
+                << regime << " " << level;
+            EXPECT_EQ(r.transitions, pins[crash][i].transitions)
+                << regime << " " << level;
+          }
+          continue;
+        }
 
-  const CheckResult sym =
-      check_reduction(two, {.threads = 4, .reduction = Reduction::kSymmetry});
-  EXPECT_TRUE(sym.ok()) << sym.counterexample;
-  EXPECT_EQ(sym.reduction, Reduction::kSymmetry);
-  EXPECT_GE(none.states, 3 * sym.states) << "acceptance floor: >= 3x";
+        const CheckResult single = check_reduction(one, {.threads = 2});
+        ASSERT_TRUE(single.ok()) << regime << ": " << single.counterexample;
+        const CheckResult single_sym = check_reduction(
+            one, {.threads = 2, .reduction = Reduction::kSymmetry});
+        ASSERT_TRUE(single_sym.ok()) << single_sym.counterexample;
+        EXPECT_EQ(single_sym.reduction, Reduction::kSymmetry);
+        const std::uint64_t r = single.states;
+        const std::uint64_t e = single.transitions;
+        const std::uint64_t c = single_sym.states;
+        EXPECT_EQ(c, mode == BoxMode::kExclusive ? (crash ? 1192u : 408u)
+                                                 : (crash ? 1744u : 800u))
+            << regime;
+        for (const CheckResult& result : at) {
+          EXPECT_TRUE(result.ok()) << regime << " "
+                                   << reduction_name(result.reduction) << ": "
+                                   << result.counterexample;
+        }
+        const CheckResult& none = at[0];
+        EXPECT_EQ(none.states, r * r) << regime;
+        EXPECT_EQ(none.transitions, 2 * r * e) << regime;
+        EXPECT_EQ(none.depth, 2 * single.depth) << regime;
 
-  const CheckResult por =
-      check_reduction(two, {.threads = 4, .reduction = Reduction::kPor});
-  EXPECT_TRUE(por.ok()) << por.counterexample;
-  EXPECT_EQ(por.reduction, Reduction::kPor);
-  EXPECT_EQ(por.states, none.states) << "POR must preserve the state set";
-  EXPECT_EQ(por.transitions, (single.states + 1) * single.transitions);
+        const CheckResult& sym = at[1];
+        EXPECT_EQ(sym.states, c * (c + 1) / 2) << regime;
+        EXPECT_GE(none.states, 3 * sym.states) << "acceptance floor: >= 3x";
 
-  const CheckResult sym_por = check_reduction(
-      two, {.threads = 4, .reduction = Reduction::kSymmetryPor});
-  EXPECT_TRUE(sym_por.ok()) << sym_por.counterexample;
-  EXPECT_EQ(sym_por.reduction, Reduction::kSymmetryPor);
-  EXPECT_EQ(sym_por.states, single_sym.states * single_sym.states);
+        const CheckResult& por = at[2];
+        EXPECT_EQ(por.states, none.states) << "POR must preserve the state set";
+        EXPECT_EQ(por.transitions, (r + 1) * e) << regime;
+
+        EXPECT_EQ(at[3].states, c * c) << regime;
+      }
+    }
+  }
 }
 
 // The determinism guarantee holds at every reduction level: identical
@@ -651,34 +721,6 @@ TEST(ReductionLevels, HandCountedOrbitsOnTinyModel) {
 
 // --- the reduction model's own checks ---------------------------------------
 
-// One pair's block of a packed ReductionModel state: 26 bits per pair.
-constexpr int kPairBits = 26;
-constexpr std::uint64_t kPairMask = (std::uint64_t{1} << kPairBits) - 1;
-
-// Every 26-bit pair block reachable from the initial one-pair state, by a
-// plain BFS over the model API.
-std::vector<std::uint64_t> reachable_pair_blocks(const McOptions& options) {
-  McOptions one = options;
-  one.pairs = 1;
-  const ReductionModel model(one);
-  std::set<std::uint64_t> reached;
-  std::vector<ReductionModel::State> frontier = model.initial_states();
-  for (const auto& s : frontier) reached.insert(s.bits);
-  std::vector<Transition<ReductionModel::State>> edges;
-  while (!frontier.empty()) {
-    std::vector<ReductionModel::State> next;
-    for (const auto& s : frontier) {
-      edges.clear();
-      model.successors(s, edges);
-      for (const auto& e : edges) {
-        if (reached.insert(e.to.bits).second) next.push_back(e.to);
-      }
-    }
-    frontier = std::move(next);
-  }
-  return {reached.begin(), reached.end()};
-}
-
 // The mistake prefix does not satisfy Theorem 2's suffix step, so checking
 // accuracy under kArbitrary must fail — the one regime in which the
 // reduction model's own check_state fires. Pinned counts for pairs 1/2 x
@@ -716,7 +758,7 @@ TEST(ModelChecker, ArbitraryAccuracyReportsTheoremTwoAtDepth20) {
 }
 
 // check_expansion judges the edges it is handed (under POR a subset of all
-// successors), so it is driven here directly with built edges.
+// successors), so it is driven here directly with edges built from blocks.
 TEST(ModelChecker, CheckExpansionReportsTheoremOneAndDeadlock) {
   McOptions options;
   options.mode = BoxMode::kExclusive;
@@ -740,15 +782,15 @@ TEST(ModelChecker, CheckExpansionReportsTheoremOneAndDeadlock) {
     }
   }
   ASSERT_TRUE(have_drained && have_pinged);
-  using State = ReductionModel::State;
-  using Edges = std::vector<Transition<State>>;
+  using Edges = std::vector<Transition<ReductionModel::State>>;
 
   const ReductionModel one(options);
-  EXPECT_EQ(one.check_expansion(State{drained}, Edges{{State{pinged}}})
+  const auto at = [&](std::uint64_t block) { return one.state_of({block}); };
+  EXPECT_EQ(one.check_expansion(at(drained), Edges{{at(pinged)}})
                 .rfind("Theorem 1 violated", 0),
             0u);
-  EXPECT_EQ(one.check_expansion(State{drained}, Edges{{State{drained}}}), "");
-  EXPECT_EQ(one.check_expansion(State{drained}, Edges{}), "")
+  EXPECT_EQ(one.check_expansion(at(drained), Edges{{at(drained)}}), "");
+  EXPECT_EQ(one.check_expansion(at(drained), Edges{}), "")
       << "a crashed state may have no successor";
 
   // Two pairs: only the crashed, drained pair is watched, and the report
@@ -756,14 +798,15 @@ TEST(ModelChecker, CheckExpansionReportsTheoremOneAndDeadlock) {
   McOptions two_pairs = options;
   two_pairs.pairs = 2;
   const ReductionModel two(two_pairs);
-  const std::uint64_t live = two.initial_states().front().bits & kPairMask;
-  const auto both = [](std::uint64_t pair0, std::uint64_t pair1) {
-    return State{pair0 | (pair1 << kPairBits)};
+  const std::uint64_t live = two.block_of(two.initial_states().front(), 0);
+  const auto both = [&](std::uint64_t pair0, std::uint64_t pair1) {
+    return two.state_of({pair0, pair1});
   };
   const std::string named = two.check_expansion(
       both(live, drained), Edges{{both(live, pinged)}});
   EXPECT_EQ(named.rfind("Theorem 1 violated", 0), 0u) << named;
   EXPECT_NE(named.find("| pair 1:"), std::string::npos) << named;
+  EXPECT_NE(named.find(describe_state(drained)), std::string::npos) << named;
   EXPECT_EQ(two.check_expansion(both(drained, live),
                                 Edges{{both(drained, pinged)}}),
             "")
@@ -779,9 +822,10 @@ TEST(ModelChecker, CheckExpansionReportsTheoremOneAndDeadlock) {
 // --- the per-pair transition table ------------------------------------------
 
 // Every cached block, in all eight mode x crash x accuracy regimes, carries
-// exactly the direct computation: its successor blocks in emission order
-// and its clean bit. The table holds the initial block and its flip and is
-// closed under successors, so the engine never leaves it.
+// exactly the direct computation: its successors (mapped from indices back
+// to blocks) in emission order and its clean bit. Index 0 is the initial
+// block, the flip index is an involution, and the table is closed under
+// successors, so a state never codes a block outside it.
 TEST(PairTable, CachedBlocksMatchDirectComputation) {
   for (const BoxMode mode : {BoxMode::kExclusive, BoxMode::kArbitrary}) {
     for (const bool crash : {false, true}) {
@@ -792,23 +836,27 @@ TEST(PairTable, CachedBlocksMatchDirectComputation) {
         options.check_accuracy = accuracy;
         const ReductionModel model(options);
         const PairTable& table = model.pair_table();
-        const std::uint64_t initial = model.initial_states().front().bits;
-        ASSERT_NE(table.find(initial), PairTable::kMissing);
-        ASSERT_NE(table.find(flip_pair_bits(initial)), PairTable::kMissing);
+        EXPECT_EQ(describe_state(table.block(0)),
+                  "w0=thinking w1=thinking s0=thinking s1=thinking switch=0 "
+                  "trigger=0 haveping=00 ping=11 chans=p00/a00");
+        EXPECT_EQ(model.block_of(model.initial_states().front(), 0),
+                  table.block(0));
+        EXPECT_EQ((table.size() - 1) >> table.index_bits(), 0u);
+        EXPECT_EQ((table.size() - 1) >> (table.index_bits() - 1), 1u)
+            << "index_bits is the narrowest width";
         std::size_t unclean = 0;
         for (std::uint32_t i = 0; i < table.size(); ++i) {
           const std::uint64_t block = table.block(i);
           ASSERT_EQ(table.find(block), i);
-          const std::span<const std::uint32_t> cached = table.successors(i);
-          const std::vector<std::uint64_t> direct =
-              pair_successor_bits(options, block);
-          ASSERT_EQ(std::vector<std::uint64_t>(cached.begin(), cached.end()),
-                    direct)
+          ASSERT_EQ(table.flip(table.flip(i)), i) << describe_state(block);
+          std::vector<std::uint64_t> cached;
+          for (const std::uint32_t next : table.successors(i)) {
+            ASSERT_LT(next, table.size());
+            cached.push_back(table.block(next));
+          }
+          ASSERT_EQ(cached, pair_successor_bits(options, block))
               << "mode=" << static_cast<int>(mode) << " crash=" << crash
               << " accuracy=" << accuracy << " " << describe_state(block);
-          for (const std::uint64_t next : direct) {
-            ASSERT_NE(table.find(next), PairTable::kMissing);
-          }
           ASSERT_EQ(table.clean(i), pair_bits_clean(options, block))
               << describe_state(block);
           unclean += table.clean(i) ? 0 : 1;
@@ -817,37 +865,6 @@ TEST(PairTable, CachedBlocksMatchDirectComputation) {
         EXPECT_EQ(unclean != 0, accuracy && mode == BoxMode::kArbitrary);
       }
     }
-  }
-}
-
-// A block outside the table (the engine never builds one) still gets the
-// exact relation and checks, computed directly.
-TEST(PairTable, MissedBlockFallsBackToDirectComputation) {
-  McOptions options;
-  options.mode = BoxMode::kArbitrary;
-  options.allow_crash = true;
-  options.pairs = 2;
-  const ReductionModel model(options);
-  const std::uint64_t live = model.initial_states().front().bits & kPairMask;
-  for (const std::uint64_t missed : {std::uint64_t{0}, kPairMask}) {
-    ASSERT_EQ(model.pair_table().find(missed), PairTable::kMissing);
-    const ReductionModel::State state{live | (missed << kPairBits)};
-    std::vector<Transition<ReductionModel::State>> edges;
-    model.successors(state, edges);
-    std::vector<std::uint64_t> expect;
-    for (const std::uint64_t next : pair_successor_bits(options, live)) {
-      expect.push_back(next | (missed << kPairBits));
-    }
-    for (const std::uint64_t next : pair_successor_bits(options, missed)) {
-      expect.push_back(live | (next << kPairBits));
-    }
-    std::vector<std::uint64_t> got;
-    for (const auto& e : edges) got.push_back(e.to.bits);
-    EXPECT_EQ(got, expect) << describe_state(missed);
-    EXPECT_FALSE(pair_bits_clean(options, missed));
-    const std::string bad = model.check_state(state);
-    EXPECT_EQ(bad.rfind("Lemma", 0), 0u) << bad;
-    EXPECT_NE(bad.find("| pair 1:"), std::string::npos) << bad;
   }
 }
 
@@ -1079,16 +1096,24 @@ TEST(ParallelEngine, CompactSeenSetGrowthPreservesMembership) {
 
 TEST(ParallelEngine, SeenIndexPicksTheSmallerTable) {
   // 26-bit codes with an honest hint: the 4-byte-entry table wins.
-  EXPECT_TRUE(detail::SeenIndex(26, 516961).compact());
+  EXPECT_EQ(detail::SeenIndex(26, 516961).kind(), SeenTable::kCompact);
   // 52-bit codes need >= 2^24 compact slots (remainder must fit 31 bits);
   // without a size hint the classic table is smaller at construction, with
   // the real 8.3M hint the compact one is (64MB vs 268MB). The unhinted
   // table re-applies the same rule at every growth, so it turns compact
   // before it would outgrow 64MB (SeenIndexTurnsCompactAtGrowth).
-  EXPECT_FALSE(detail::SeenIndex(52, 0).compact());
-  EXPECT_TRUE(detail::SeenIndex(52, 8340544).compact());
+  EXPECT_EQ(detail::SeenIndex(52, 0).kind(), SeenTable::kClassic);
+  EXPECT_EQ(detail::SeenIndex(52, 8340544).kind(), SeenTable::kCompact);
   // Full-width keys can only use the classic table.
-  EXPECT_FALSE(detail::SeenIndex(64, 1000).compact());
+  EXPECT_EQ(detail::SeenIndex(64, 1000).kind(), SeenTable::kClassic);
+  // Narrow codes: a bitmap no larger than the smaller hash table wins, at
+  // any hint. At 24 bits (2 MiB) it takes a fill that would grow the
+  // compact table to 2 MiB.
+  EXPECT_EQ(detail::SeenIndex(6, 0).kind(), SeenTable::kBitmap);
+  EXPECT_EQ(detail::SeenIndex(20, 0).kind(), SeenTable::kBitmap);
+  EXPECT_EQ(detail::SeenIndex(20, 8340544).kind(), SeenTable::kBitmap);
+  EXPECT_EQ(detail::SeenIndex(24, 0).kind(), SeenTable::kCompact);
+  EXPECT_EQ(detail::SeenIndex(24, 8340544).kind(), SeenTable::kBitmap);
 }
 
 // Spreads consecutive indices over the whole width (an odd multiplier is a
@@ -1103,16 +1128,16 @@ TEST(ParallelEngine, SeenIndexTurnsCompactAtGrowth) {
   // reach 1MB.
   constexpr int kBits = 46;
   detail::SeenIndex seen(kBits, /*expected_states=*/0);
-  ASSERT_FALSE(seen.compact());
+  ASSERT_EQ(seen.kind(), SeenTable::kClassic);
   constexpr std::uint64_t kBefore = 20000;
   for (std::uint64_t i = 0; i < kBefore; ++i) {
     ASSERT_TRUE(seen.insert(spread_code(i, kBits)));
   }
   seen.reserve_level(kBefore, 10000);  // fits 2^16 slots: no growth
-  ASSERT_FALSE(seen.compact());
+  ASSERT_EQ(seen.kind(), SeenTable::kClassic);
   const std::uint64_t classic_bytes = seen.bytes();
   seen.reserve_level(kBefore, 200000);  // classic would grow to 4MB
-  ASSERT_TRUE(seen.compact());
+  ASSERT_EQ(seen.kind(), SeenTable::kCompact);
   EXPECT_EQ(seen.peak_bytes(), classic_bytes + seen.bytes())
       << "the switch holds both tables at once";
   for (std::uint64_t i = 0; i < kBefore; ++i) {
@@ -1143,6 +1168,74 @@ TEST(ParallelEngine, SeenIndexTurnsCompactAtGrowth) {
   // Growing the compact table afterwards still keeps every member.
   seen.reserve_level(kBefore + kAfter, 4 * kAfter);
   for (std::uint64_t i = 0; i < kBefore + kAfter; i += 7) {
+    EXPECT_FALSE(seen.insert(spread_code(i, kBits))) << i;
+  }
+}
+
+// The bitmap's insert is a load then a fetch_or: of racing inserts of one
+// code exactly one succeeds. The codes are scattered so that threads also
+// set different bits of one word at once. (ParallelEngine name = TSan
+// coverage.)
+TEST(ParallelEngine, BitmapSeenSetConcurrentInsert) {
+  constexpr int kBits = 20;
+  constexpr std::uint64_t kKeys = std::uint64_t{1} << kBits;
+  constexpr int kThreads = 8;
+  detail::BitmapSeenSet seen(kBits);
+  EXPECT_EQ(seen.bytes(), kKeys / 8);
+  std::atomic<std::uint64_t> inserted{0};
+  std::vector<std::thread> pool;
+  pool.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    pool.emplace_back([&seen, &inserted, t] {
+      // Each thread covers half of all codes, so every code is raced by
+      // four threads.
+      std::uint64_t mine = 0;
+      for (std::uint64_t i = 0; i < kKeys / 2; ++i) {
+        const std::uint64_t index =
+            i + static_cast<std::uint64_t>(t) * (kKeys / kThreads);
+        if (seen.insert(spread_code(index, kBits))) ++mine;
+      }
+      inserted.fetch_add(mine);
+    });
+  }
+  for (std::thread& t : pool) t.join();
+  EXPECT_EQ(inserted.load(), kKeys);
+  for (std::uint64_t code = 0; code < kKeys; code += 997) {
+    EXPECT_FALSE(seen.insert(code)) << code;
+  }
+}
+
+TEST(ParallelEngine, BitmapSeenSetTakesOverFromCompactAtGrowth) {
+  // 22-bit codes: the bitmap is 512 KiB; the compact table starts at 2^16
+  // slots (256 KiB) and would reach 512 KiB at its first growth.
+  constexpr int kBits = 22;
+  detail::SeenIndex seen(kBits, /*expected_states=*/0);
+  ASSERT_EQ(seen.kind(), SeenTable::kCompact);
+  constexpr std::uint64_t kBefore = 40000;
+  for (std::uint64_t i = 0; i < kBefore; ++i) {
+    ASSERT_TRUE(seen.insert(spread_code(i, kBits)));
+  }
+  seen.reserve_level(kBefore, 9000);  // fits 2^16 slots: no growth
+  ASSERT_EQ(seen.kind(), SeenTable::kCompact);
+  const std::uint64_t compact_bytes = seen.bytes();
+  seen.reserve_level(kBefore, 20000);  // compact would grow to 512 KiB
+  ASSERT_EQ(seen.kind(), SeenTable::kBitmap);
+  EXPECT_EQ(seen.bytes(), detail::BitmapSeenSet::bytes_for(kBits));
+  EXPECT_EQ(seen.peak_bytes(), compact_bytes + seen.bytes())
+      << "the switch holds both sets at once";
+  EXPECT_NE(seen.bitmap(), nullptr);
+  // Identical membership: every moved code is present, nothing else is.
+  for (std::uint64_t i = 0; i < kBefore; ++i) {
+    ASSERT_FALSE(seen.insert(spread_code(i, kBits))) << i;
+  }
+  for (std::uint64_t i = kBefore; i < 2 * kBefore; ++i) {
+    ASSERT_TRUE(seen.insert(spread_code(i, kBits))) << i;
+  }
+  // One-way: no fill ever brings a hash table back.
+  seen.reserve_level(2 * kBefore, std::uint64_t{1} << 30);
+  EXPECT_EQ(seen.kind(), SeenTable::kBitmap);
+  EXPECT_EQ(seen.bytes(), detail::BitmapSeenSet::bytes_for(kBits));
+  for (std::uint64_t i = 0; i < 2 * kBefore; i += 7) {
     EXPECT_FALSE(seen.insert(spread_code(i, kBits))) << i;
   }
 }
@@ -1275,8 +1368,52 @@ TEST(ModelChecker, ExpectedStatesHintHonorsReductionLevel) {
   EXPECT_EQ(sized.states, oversized.states);
   EXPECT_EQ(sized.transitions, oversized.transitions);
   EXPECT_EQ(sized.verdict, oversized.verdict);
-  EXPECT_LT(sized.seen_bytes, oversized.seen_bytes)
+  // This space's codes are 20 bits, so both hints pick the same 128 KiB
+  // bitmap. At the 26-bit width of a raw pair block the hint still sizes a
+  // hash table, and there the reduced hint must shrink it.
+  EXPECT_EQ(sized.seen_bytes, oversized.seen_bytes);
+  EXPECT_LT(detail::SeenIndex(26, meta.expected_for(true)).bytes(),
+            detail::SeenIndex(26, meta.expected_for(false)).bytes())
       << "the reduced hint must shrink the table";
+}
+
+// --- which seen-set each model in src/ ends on ------------------------------
+
+// None of them reaches the classic 64-bit table: GKK (6-bit codes) and the
+// ablation (8-bit) hold a bitmap of a few bytes from construction, and each
+// two-pair reduction relation, coded by pair-table index, ends an unhinted
+// check on the bitmap — the 20-bit one from construction, the 22- and
+// 24-bit ones after the compact table's growth hands over to it.
+TEST(ModelChecker, SourceModelsEndOnTheBitmapSeenSet) {
+  for (const GkkBoxSemantics box :
+       {GkkBoxSemantics::kForkBased, GkkBoxSemantics::kLockout}) {
+    const CheckResult gkk = check_gkk(box);
+    EXPECT_EQ(gkk.seen_table, SeenTable::kBitmap);
+    EXPECT_EQ(gkk.seen_bytes, detail::BitmapSeenSet::bytes_for(6));
+  }
+  const CheckResult ablation = check_ablation();
+  EXPECT_EQ(ablation.seen_table, SeenTable::kBitmap);
+  EXPECT_EQ(ablation.seen_bytes, detail::BitmapSeenSet::bytes_for(8));
+
+  for (const BoxMode mode : {BoxMode::kExclusive, BoxMode::kArbitrary}) {
+    for (const bool crash : {false, true}) {
+      McOptions options;
+      options.mode = mode;
+      options.allow_crash = crash;
+      options.check_accuracy = mode == BoxMode::kExclusive;
+      options.pairs = 2;
+      const ReductionModel model(options);
+      const int bits = model.code_bits();
+      EXPECT_EQ(bits, mode == BoxMode::kExclusive ? (crash ? 24 : 20)
+                                                  : (crash ? 24 : 22));
+      const CheckResult result = run_check(model, {.threads = 4});
+      ASSERT_TRUE(result.ok()) << result.counterexample;
+      EXPECT_EQ(result.seen_table, SeenTable::kBitmap) << "bits=" << bits;
+      if (bits == 20) {
+        EXPECT_EQ(result.seen_bytes, detail::BitmapSeenSet::bytes_for(20));
+      }
+    }
+  }
 }
 
 }  // namespace
