@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "mc/engine.hpp"
+#include "mc/hash.hpp"
 
 namespace wfd::fuzz {
 

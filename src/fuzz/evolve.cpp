@@ -8,7 +8,7 @@
 #include "fuzz/fuzzer.hpp"
 #include "fuzz/mutators.hpp"
 #include "fuzz/snapshot.hpp"
-#include "mc/engine.hpp"
+#include "mc/hash.hpp"
 #include "sim/rng.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)

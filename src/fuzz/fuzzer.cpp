@@ -9,7 +9,7 @@
 #include <unordered_set>
 
 #include "harness/campaign.hpp"
-#include "mc/engine.hpp"
+#include "mc/hash.hpp"
 #include "sim/rng.hpp"
 
 namespace wfd::fuzz {

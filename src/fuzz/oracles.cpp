@@ -11,7 +11,7 @@
 #include "dining/scripted_box.hpp"
 #include "graph/conflict_graph.hpp"
 #include "harness/rig.hpp"
-#include "mc/engine.hpp"
+#include "mc/hash.hpp"
 #include "reduce/ablation.hpp"
 #include "reduce/extraction.hpp"
 #include "sim/engine.hpp"

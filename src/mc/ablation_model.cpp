@@ -60,56 +60,49 @@ std::vector<AState> AblationModel::initial_states() const {
   return {with(AState{}, kPingEnabled, true)};
 }
 
-void AblationModel::successors(const State& st,
-                               std::vector<Transition<State>>& out) const {
+template <class Emit>
+void AblationModel::successors(const State& st, Emit&& emit) const {
   // Witness requests.
   if (w(st) == kIdle) {
-    out.push_back({with_w(st, kHungry), kLabelNone});
+    emit(with_w(st, kHungry), kLabelNone);
   }
   // Box grants the witness (exclusive: not while the subject eats).
   if (w(st) == kHungry && s(st) != kEating) {
-    out.push_back({with_w(st, kEating), kLabelNone});
+    emit(with_w(st, kEating), kLabelNone);
   }
   // Witness judges and exits (the whole A_x action).
   if (w(st) == kEating) {
-    out.push_back({with(with_w(st, kIdle), kHavePing, false),
-                   get(st, kHavePing)
-                       ? static_cast<std::uint8_t>(kLabelNone)
-                       : static_cast<std::uint8_t>(kLabelWrongfulSuspicion)});
+    emit(with(with_w(st, kIdle), kHavePing, false),
+         get(st, kHavePing)
+             ? static_cast<std::uint8_t>(kLabelNone)
+             : static_cast<std::uint8_t>(kLabelWrongfulSuspicion));
   }
   // Subject requests.
   if (s(st) == kIdle) {
-    out.push_back({with_s(st, kHungry), kLabelNone});
+    emit(with_s(st, kHungry), kLabelNone);
   }
   // Box grants the subject.
   if (s(st) == kHungry && w(st) != kEating) {
-    out.push_back({with_s(st, kEating), kLabelNone});
+    emit(with_s(st, kEating), kLabelNone);
   }
   // Subject pings (once per meal).
   if (s(st) == kEating && get(st, kPingEnabled) && !get(st, kPingChan)) {
-    out.push_back({with(with(st, kPingEnabled, false), kPingChan, true),
-                   kLabelNone});
+    emit(with(with(st, kPingEnabled, false), kPingChan, true), kLabelNone);
   }
   // Ping delivery: witness remembers and acks (atomic, as in Alg. 1).
   if (get(st, kPingChan) && !get(st, kAckChan)) {
-    out.push_back({with(with(with(st, kPingChan, false), kHavePing, true),
-                        kAckChan, true),
-                   kLabelNone});
+    emit(with(with(with(st, kPingChan, false), kHavePing, true), kAckChan,
+              true),
+         kLabelNone);
   }
   // Ack delivery: the subject's meal completes.
   if (get(st, kAckChan) && s(st) == kEating) {
-    out.push_back({with(with_s(with(st, kAckChan, false), kIdle),
-                        kPingEnabled, true),
-                   kLabelSubjectMeal});
+    emit(with(with_s(with(st, kAckChan, false), kIdle), kPingEnabled, true),
+         kLabelSubjectMeal);
   }
 }
 
 std::string AblationModel::check_state(const State&) const { return {}; }
-
-std::string AblationModel::check_expansion(
-    const State&, const std::vector<Transition<State>>&) const {
-  return {};
-}
 
 std::string AblationModel::describe(const State& st) const {
   std::ostringstream out;

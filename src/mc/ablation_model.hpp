@@ -30,11 +30,11 @@ class AblationModel {
   };
 
   std::vector<State> initial_states() const;
-  void successors(const State& state,
-                  std::vector<Transition<State>>& out) const;
+  /// emit(to, label) per enabled move. Defined in ablation_model.cpp, next
+  /// to check_ablation, the one run_check that instantiates it.
+  template <class Emit>
+  void successors(const State& state, Emit&& emit) const;
   std::string check_state(const State& state) const;
-  std::string check_expansion(const State& state,
-                              const std::vector<Transition<State>>& edges) const;
   std::string describe(const State& state) const;
   /// Lasso search over the reached graph (see file header).
   std::string analyze(const ReachView<State>& graph) const;

@@ -10,9 +10,11 @@
 //
 // Two storage primitives live here:
 //  * PackedCodeVector — an append-only vector of fixed-width codes packed
-//    back-to-back into 64-bit words (codes may straddle a word boundary).
-//    This is the frontier-segment representation, and the unit that the
-//    spillable frontier writes to / reads back from temp files.
+//    back-to-back into 64-bit words (codes may straddle a word boundary),
+//    followed by one zero pad word so that a read never branches on the
+//    straddle. This is the frontier-segment representation, and the unit
+//    that the spillable frontier writes to / reads back from temp files
+//    (without the pad, which the reader restores).
 //  * DeltaEdgeLog — the per-worker edge log feeding the CSR build for
 //    AnalyzableModel types. Instead of 8B+1B per edge it stores, per
 //    expanded node, a varint out-degree followed by one varint XOR-delta
@@ -53,9 +55,12 @@ inline constexpr std::uint64_t code_mask(int bits) {
 }
 
 /// Append-only fixed-width bit-packed code store. Codes are written LSB-first
-/// back-to-back; a code may straddle two words. Random-access reads only —
-/// no mutation after append — so the word array can be spilled to disk and
-/// re-materialized verbatim.
+/// back-to-back; a code may straddle two words. One zero pad word always
+/// follows the last word that holds a code, inside the vector's size, so
+/// push_back and read touch a code's word and the next one unconditionally:
+/// two loads and a shift pair instead of a branch on the straddle. Random-
+/// access reads only — no mutation after append — so the word array can be
+/// spilled to disk and re-materialized verbatim.
 class PackedCodeVector {
  public:
   PackedCodeVector() = default;
@@ -67,40 +72,40 @@ class PackedCodeVector {
     assert(width_ == 64 || (code >> width_) == 0);
     const std::size_t bit = size_ * static_cast<std::size_t>(width_);
     const std::size_t word = bit >> 6;
-    const int shift = static_cast<int>(bit & 63);
-    if (word >= words_.size()) words_.push_back(0);
-    words_[word] |= code << shift;
-    const int spill = shift + width_ - 64;  // bits overflowing into word+1
-    if (spill > 0) {
-      words_.push_back(code >> (width_ - spill));
-    }
+    const unsigned shift = static_cast<unsigned>(bit & 63);
     ++size_;
+    // The vector's own growth: a code that reaches the pad needs a new one.
+    if (words_.size() == word_count()) words_.push_back(0);
+    words_[word] |= code << shift;
+    // The bits past the word, or zero (also for shift 0: no shift by 64).
+    words_[word + 1] |= (code >> 1) >> (63 - shift);
   }
 
   std::uint64_t operator[](std::size_t i) const {
     return read(words_.data(), width_, i);
   }
 
-  /// Decode code `i` out of a raw word array packed at `width` bits.
-  /// (Static so spilled segments can be decoded from a scratch buffer.)
+  /// Decode code `i` out of a raw word array packed at `width` bits, which
+  /// must hold the word after code `i`'s first one: the next code's word or
+  /// the pad. (Static so spilled segments can be decoded from a scratch
+  /// buffer.)
   static std::uint64_t read(const std::uint64_t* words, int width,
                             std::size_t i) {
     const std::size_t bit = i * static_cast<std::size_t>(width);
     const std::size_t word = bit >> 6;
-    const int shift = static_cast<int>(bit & 63);
-    std::uint64_t code = words[word] >> shift;
-    const int spill = shift + width - 64;
-    if (spill > 0) {
-      code |= words[word + 1] << (width - spill);
-    }
+    const unsigned shift = static_cast<unsigned>(bit & 63);
+    const std::uint64_t code =
+        (words[word] >> shift) | ((words[word + 1] << 1) << (63 - shift));
     return code & code_mask(width);
   }
 
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
   int width() const { return width_; }
+  /// word_count() words of codes, then the zero pad.
   const std::uint64_t* words() const { return words_.data(); }
-  std::size_t word_count() const { return words_.size(); }
+  /// Words that hold codes (the pad not included): what a spill writes.
+  std::size_t word_count() const { return words_for(size_, width_); }
   std::uint64_t bytes() const {
     return words_.capacity() * sizeof(std::uint64_t);
   }
@@ -111,13 +116,13 @@ class PackedCodeVector {
   }
 
   void clear() {
-    words_.clear();
+    words_.assign(1, 0);
     size_ = 0;
   }
 
  private:
   int width_ = 64;
-  std::vector<std::uint64_t> words_;
+  std::vector<std::uint64_t> words_ = std::vector<std::uint64_t>(1);  // pad
   std::size_t size_ = 0;
 };
 

@@ -12,10 +12,16 @@
 // safe without hazard pointers: no worker holds a slot reference across a
 // barrier. CheckOptions::expected_states only pre-sizes it; without the
 // hint the set still ends in the smallest representation, reached by
-// growth. Because the representation only changes at the barrier, the
-// insert path is chosen once per level: on a hash table each successor is
-// hashed, filtered, prefetched and inserted a state later; on the bitmap
-// it is inserted as soon as it is generated.
+// growth.
+//
+// Expansion builds no edge list: the model's `successors` (a member
+// template) calls the engine's sink once per edge, and the sink
+// canonicalizes, validates and inserts the successor there and then.
+// Because the seen-set representation only changes at the barrier, the
+// sink is chosen once per level: on a hash table it hashes, filters and
+// prefetches each successor and the insert follows a state later; on the
+// bitmap it inserts at once. A property of a state's edges (deadlock,
+// Theorem 1) is the model's to precompute and report from check_state.
 //
 // The frontier itself is a hash-partitioned store of bit-packed code
 // segments (frontier.hpp) that can spill to temp files past
@@ -31,9 +37,9 @@
 //    hooks: component k's moves are generated only while all components
 //    j < k sit at their local initial states, which prunes commuting
 //    interleavings while preserving the reachable state set exactly. A
-//    state whose reduced expansion is empty is re-expanded in full (the
-//    deadlock proviso), and the engine refuses POR for models that collect
-//    a reachable graph (lasso searches see transitions) or whose
+//    state whose reduced expansion emitted nothing is re-expanded in full
+//    (the deadlock proviso), and the engine refuses POR for models that
+//    collect a reachable graph (lasso searches see transitions) or whose
 //    por_stutter_invariant() gate returns false.
 //
 // For AnalyzableModel types each worker appends its expansions to a
@@ -94,10 +100,9 @@ S decode_state(std::uint64_t code) {
 /// Per-worker state, allocated once and reused across every BFS level (the
 /// scratch vectors keep their capacity, so steady-state expansion does not
 /// allocate).
-template <class S>
 struct Worker {
   /// One prefetched-but-not-yet-inserted successor code (see the pipeline
-  /// note in run_check's expand loop).
+  /// note in run_check's expand step).
   struct PendingEdge {
     std::uint64_t hash;  // mix64(code)
     std::uint64_t code;
@@ -112,7 +117,6 @@ struct Worker {
   static constexpr std::size_t kFilterBits = 15;
   static constexpr std::size_t kFilterMask = (std::size_t{1} << kFilterBits) - 1;
 
-  std::vector<Transition<S>> edges;         // successor scratch
   std::vector<PendingEdge> batch;           // current state's hashed edges
   std::vector<PendingEdge> pending;         // previous state's insert lag
   std::vector<std::uint64_t> scratch;       // spilled-segment read buffer
@@ -133,7 +137,7 @@ struct Worker {
 /// (keys are unique — each state is expanded exactly once — so the result
 /// is independent of which worker expanded what).
 template <class S>
-ReachView<S> build_reach_view(std::vector<Worker<S>>& workers) {
+ReachView<S> build_reach_view(std::vector<Worker>& workers) {
   struct NodeRef {
     std::uint64_t key;
     std::uint32_t worker;
@@ -141,7 +145,7 @@ ReachView<S> build_reach_view(std::vector<Worker<S>>& workers) {
   };
   std::size_t nodes = 0;
   std::size_t edges = 0;
-  for (const Worker<S>& w : workers) {
+  for (const Worker& w : workers) {
     nodes += w.log.keys.size();
     edges += static_cast<std::size_t>(w.log.edges);
   }
@@ -205,27 +209,25 @@ CheckResult run_check(const M& model, const CheckOptions& options = {}) {
     }
     return s;
   };
-  // Reduced successor generation: component k's moves only while every
-  // component j < k is quiescent; a state with no reduced move falls back
-  // to the full expansion (deadlock proviso — a pure function of the state,
-  // so determinism is unaffected).
-  const auto gen_edges = [&](const S& st, std::vector<Transition<S>>& out) {
-    out.clear();
+  // Successor generation into `emit`: under POR, component k's moves only
+  // while every component j < k is quiescent; a state that emitted no
+  // reduced move (`degree` still 0) falls back to the full expansion
+  // (deadlock proviso — a pure function of the state, so determinism is
+  // unaffected).
+  const auto generate = [&](const S& st, auto& emit,
+                            const std::size_t& degree) {
     if constexpr (PorModel<M>) {
       if (por) {
         const int components = model.por_components();
-        bool prefix_quiescent = true;
         for (int k = 0; k < components; ++k) {
-          if (k > 0 && !prefix_quiescent) break;
-          model.component_successors(st, k, out);
-          prefix_quiescent =
-              prefix_quiescent && model.component_quiescent(st, k);
+          model.component_successors(st, k, emit);
+          if (!model.component_quiescent(st, k)) break;
         }
-        if (out.empty()) model.successors(st, out);
+        if (degree == 0) model.successors(st, emit);
         return;
       }
     }
-    model.successors(st, out);
+    model.successors(st, emit);
   };
 
   const int width = model_code_bits(model);
@@ -308,7 +310,7 @@ CheckResult run_check(const M& model, const CheckOptions& options = {}) {
 
   constexpr bool kCollectGraph = AnalyzableModel<M>;
 
-  std::vector<detail::Worker<S>> outs(static_cast<std::size_t>(workers));
+  std::vector<detail::Worker> outs(static_cast<std::size_t>(workers));
   std::atomic<std::size_t> cursor{0};
   bool stop = false;  // written by the main thread at barriers only
 
@@ -321,13 +323,16 @@ CheckResult run_check(const M& model, const CheckOptions& options = {}) {
   detail::BitmapSeenSet* bitmap = nullptr;
 
   // `direct` (std::true_type on bitmap levels) picks the insert path at
-  // compile time. A bitmap insert is one bit test with no hash to compute
-  // and no probe to miss on, so there each successor is inserted as it is
-  // generated: no mix64, duplicate filter, insert lag or prefetch.
-  auto expand = [&](detail::Worker<S>& out,
+  // compile time. The model emits each successor straight into `sink`,
+  // which canonicalizes, validates and inserts it; no edge list is built.
+  // A bitmap insert is one bit test with no hash to compute and no probe to
+  // miss on, so there the sink inserts at once: no mix64, duplicate filter,
+  // insert lag or prefetch.
+  auto expand = [&](detail::Worker& out,
                     detail::SpillableFrontier::Producer& produce,
                     auto direct) {
     constexpr bool kDirect = decltype(direct)::value;
+    constexpr std::size_t kFilterShift = 64 - detail::Worker::kFilterBits;
     // On a hash table, inserts run one state behind their prefetches: a
     // state's edges are hashed and prefetched while the PREVIOUS state's
     // batch (whose cache lines have had a whole state's worth of successor
@@ -338,9 +343,35 @@ CheckResult run_check(const M& model, const CheckOptions& options = {}) {
       for (const auto& p : out.pending) {
         if (seen.insert(p.code, p.hash)) produce.push(p.code);
         // Either way the code is now certainly in the table.
-        out.filter[p.hash >> (64 - detail::Worker<S>::kFilterBits)] = p.code;
+        out.filter[p.hash >> kFilterShift] = p.code;
       }
       out.pending.clear();
+    };
+    std::size_t degree = 0;
+    bool invalid = false;
+    const auto sink = [&](const S& next, std::uint8_t label) {
+      ++degree;
+      const S to = canon(next);
+      const auto to_code = static_cast<std::uint64_t>(to.bits);
+      if constexpr (kCollectGraph) out.edge_codes.push_back({to_code, label});
+      if (code_invalid(to_code)) {
+        invalid = true;  // it has no slot or bit; the level reports it
+        return;
+      }
+      if constexpr (kDirect) {
+        if (bitmap->insert(to_code)) produce.push(to_code);
+      } else {
+        const std::uint64_t hash = detail::mix64(to_code);
+        if (out.filter[hash >> kFilterShift] == to_code) {
+          return;  // duplicate of a code already in the table
+        }
+        out.batch.push_back({hash, to_code});
+        // Issued here, not from a seen-set method: GCC marks a void
+        // function whose only statement is __builtin_prefetch as pure and
+        // drops every call to it, so a wrapped prefetch never reaches the
+        // machine code (the mc_prefetch_codegen ctest guards this).
+        __builtin_prefetch(seen.home(to_code, hash), 1, 3);
+      }
     };
     out.batch.clear();
     out.pending.clear();
@@ -368,37 +399,13 @@ CheckResult run_check(const M& model, const CheckOptions& options = {}) {
           return true;
         };
         if (note(model.check_state(st))) continue;
-        gen_edges(st, out.edges);
-        if (note(model.check_expansion(st, out.edges))) continue;
-        out.transitions += out.edges.size();
-        out.max_degree = std::max(out.max_degree, out.edges.size());
-        bool invalid = false;
+        degree = 0;
         if constexpr (kCollectGraph) out.edge_codes.clear();
-        for (const Transition<S>& t : out.edges) {
-          const S to = canon(t.to);
-          const auto to_code = static_cast<std::uint64_t>(to.bits);
-          invalid = invalid || code_invalid(to_code);
-          if constexpr (kCollectGraph) {
-            out.edge_codes.push_back({to_code, t.label});
-          }
-          if constexpr (kDirect) {
-            // An invalid code has no bit; the level reports it and stops.
-            if (!invalid && bitmap->insert(to_code)) produce.push(to_code);
-            continue;
-          }
-          const std::uint64_t hash = detail::mix64(to_code);
-          if (out.filter[hash >> (64 - detail::Worker<S>::kFilterBits)] ==
-              to_code) {
-            continue;  // duplicate of a code already in the table
-          }
-          out.batch.push_back({hash, to_code});
-          // Issued here, not from a seen-set method: GCC marks a void
-          // function whose only statement is __builtin_prefetch as pure and
-          // drops every call to it, so a wrapped prefetch never reaches the
-          // machine code (the mc_prefetch_codegen ctest guards this).
-          __builtin_prefetch(seen.home(to_code, hash), 1, 3);
-        }
+        generate(st, sink, degree);
+        out.transitions += degree;
+        out.max_degree = std::max(out.max_degree, degree);
         if (invalid) {
+          invalid = false;
           out.batch.clear();
           note(width < 64
                    ? "model error: successor code exceeds the declared "
@@ -419,7 +426,7 @@ CheckResult run_check(const M& model, const CheckOptions& options = {}) {
     flush();  // drain the last state's lagged batch...
     produce.flush();  // ...and seal this worker's partial frontier segments
   };
-  const auto expand_level = [&](detail::Worker<S>& out,
+  const auto expand_level = [&](detail::Worker& out,
                                 detail::SpillableFrontier::Producer& produce) {
     if (bitmap != nullptr) {
       expand(out, produce, std::true_type{});
@@ -509,9 +516,9 @@ CheckResult run_check(const M& model, const CheckOptions& options = {}) {
 
     result.states += level_size;
     std::uint64_t level_transitions = 0;
-    const detail::Worker<S>* worst = nullptr;
+    const detail::Worker* worst = nullptr;
     const std::string* spill_error = nullptr;
-    for (detail::Worker<S>& out : outs) {
+    for (detail::Worker& out : outs) {
       level_transitions += out.transitions;
       result.transitions += out.transitions;
       out.transitions = 0;
@@ -590,7 +597,7 @@ CheckResult run_check(const M& model, const CheckOptions& options = {}) {
       // Early stop (violation / budget): the CSR is never assembled, but
       // the per-worker edge logs were collected up to the stopping level —
       // report the footprint actually held rather than a misleading zero.
-      for (const detail::Worker<S>& w : outs) {
+      for (const detail::Worker& w : outs) {
         graph_bytes += w.log.bytes();
       }
     }

@@ -129,7 +129,7 @@ class SpillableFrontier {
   void begin_level(std::size_t chunk_codes) {
     for (Segment& seg : level_) {
       if (!seg.on_disk) {
-        in_memory_bytes_.fetch_sub(seg.words.size() * sizeof(std::uint64_t),
+        in_memory_bytes_.fetch_sub(seg.word_count * sizeof(std::uint64_t),
                                    std::memory_order_relaxed);
       }
     }
@@ -172,7 +172,8 @@ class SpillableFrontier {
   }
 
   struct View {
-    const std::uint64_t* words;  // packed at the frontier's width
+    const std::uint64_t* words;  // packed at the frontier's width, then a
+                                 // zero pad word (PackedCodeVector::read)
     std::size_t begin, end;      // code indices into `words`
     /// Non-empty when a spilled segment could not be read back; the view
     /// is then empty and the chunk's codes are unknown.
@@ -188,7 +189,9 @@ class SpillableFrontier {
       return {seg.words.data(), c.begin, c.end, {}};
     }
 #if WFD_MC_FRONTIER_CAN_SPILL
-    scratch.resize(seg.word_count);
+    // The file holds the codes' words; the pad after them is restored here.
+    scratch.resize(seg.word_count + 1);
+    scratch.back() = 0;
     const Partition& p = partitions_[static_cast<std::size_t>(seg.partition)];
     std::string error = pread_exact(::fileno(p.file[seg.file_parity]),
                                     scratch.data(),
@@ -213,9 +216,9 @@ class SpillableFrontier {
 
  private:
   struct Segment {
-    std::vector<std::uint64_t> words;  // empty once spilled
+    std::vector<std::uint64_t> words;  // codes + pad; empty once spilled
     std::size_t count = 0;
-    std::size_t word_count = 0;
+    std::size_t word_count = 0;  // without the pad, as accounted and spilled
     int partition = 0;
     int file_parity = 0;
     std::uint64_t file_offset = 0;  // bytes into the partition spill file
@@ -251,7 +254,7 @@ class SpillableFrontier {
     if (WFD_MC_FRONTIER_CAN_SPILL && over_budget && spill(part, buf, seg)) {
       spilled_bytes_.fetch_add(seg_bytes, std::memory_order_relaxed);
     } else {
-      seg.words.assign(buf.words(), buf.words() + buf.word_count());
+      seg.words.assign(buf.words(), buf.words() + buf.word_count() + 1);
       const std::uint64_t now =
           in_memory_bytes_.fetch_add(seg_bytes, std::memory_order_relaxed) +
           seg_bytes;

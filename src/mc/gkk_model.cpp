@@ -41,31 +41,30 @@ std::vector<GkkModel::State> GkkModel::initial_states() const {
   return {State{}};
 }
 
-void GkkModel::successors(const State& st,
-                          std::vector<Transition<State>>& out) const {
+template <class Emit>
+void GkkModel::successors(const State& st, Emit&& emit) const {
   // Subject: send a heartbeat (bounded channel: one in flight).
   if (!get(st, kHbInFlight)) {
-    out.push_back({with(st, kHbInFlight, true), kLabelNone});
+    emit(with(st, kHbInFlight, true), kLabelNone);
   }
   // Deliver the heartbeat: the witness trusts and wants to (re)enter.
   if (get(st, kHbInFlight)) {
-    out.push_back({with(with(with(st, kHbInFlight, false), kWTrusts, true),
-                        kWWants, true),
-                   kLabelNone});
+    emit(with(with(with(st, kHbInFlight, false), kWTrusts, true), kWWants,
+              true),
+         kLabelNone);
   }
   // Subject requests permission (once).
   if (!get(st, kQRequested)) {
-    out.push_back({with(st, kQRequested, true), kLabelNone});
+    emit(with(st, kQRequested, true), kLabelNone);
   }
   // Box grants the subject; it enters its critical section and never
   // exits. Under lockout semantics the grant pins the serial lock.
   if (get(st, kQRequested) && !get(st, kQEating)) {
-    out.push_back({with(st, kQEating, true), kLabelNone});
+    emit(with(st, kQEating, true), kLabelNone);
   }
   // Witness becomes hungry when it wants to.
   if (get(st, kWWants) && !get(st, kWHungry)) {
-    out.push_back(
-        {with(with(st, kWWants, false), kWHungry, true), kLabelNone});
+    emit(with(with(st, kWWants, false), kWHungry, true), kLabelNone);
   }
   // Box grants the witness — blocked, under lockout semantics, by the
   // eating subject. The whole GKK meal is one transition: enter, exit,
@@ -74,18 +73,13 @@ void GkkModel::successors(const State& st,
     const bool blocked =
         semantics_ == GkkBoxSemantics::kLockout && get(st, kQEating);
     if (!blocked) {
-      out.push_back({with(with(st, kWHungry, false), kWTrusts, false),
-                     kLabelWrongfulSuspicion});
+      emit(with(with(st, kWHungry, false), kWTrusts, false),
+           kLabelWrongfulSuspicion);
     }
   }
 }
 
 std::string GkkModel::check_state(const State&) const { return {}; }
-
-std::string GkkModel::check_expansion(
-    const State&, const std::vector<Transition<State>>&) const {
-  return {};
-}
 
 std::string GkkModel::describe(const State& st) const {
   std::ostringstream out;

@@ -1,10 +1,11 @@
 // The unified model-checking API. A "model" is anything the explicit-state
 // engine (engine.hpp) can explore: a packed, trivially copyable state type,
-// a set of initial states, a successor generator, and per-state invariant
-// hooks. The three checkers in this directory — the Alg. 1/2 reduction, the
-// GKK counterexample, and the E9 single-instance ablation — all implement
-// this concept, and every test and bench drives them exclusively through
-// mc::run_check / mc::CheckResult.
+// a set of initial states, a successor generator that hands each edge to a
+// caller-supplied sink, and a per-state invariant hook. The three checkers
+// in this directory — the Alg. 1/2 reduction, the GKK counterexample, and
+// the E9 single-instance ablation — all implement this concept, and every
+// test and bench drives them exclusively through mc::run_check /
+// mc::CheckResult.
 #pragma once
 
 #include <cstddef>
@@ -48,10 +49,10 @@ inline const char* verdict_name(Verdict verdict) {
 ///    proviso: a state whose reduced expansion is empty is re-expanded in
 ///    full). This particular ample-set rule preserves the REACHABLE STATE
 ///    SET exactly — only commuting interleavings (transitions) are pruned —
-///    so state-local invariants and expansion checks are sound verbatim;
-///    the model must still declare its properties stutter-invariant
-///    (por_stutter_invariant) because transition-sensitive properties could
-///    observe the pruned interleavings. BFS depths may differ from kNone.
+///    so state invariants (check_state) are sound verbatim; the model must
+///    still declare its properties stutter-invariant (por_stutter_invariant)
+///    because transition-sensitive properties could observe the pruned
+///    interleavings. BFS depths may differ from kNone.
 ///  * kSymmetryPor — both; symmetry restricted to the per-component
 ///    subgroup (component-permuting renamings would strand the POR
 ///    component ordering, so the engine asks the model's canonical() hook
@@ -160,18 +161,20 @@ enum EdgeLabel : std::uint8_t {
   kLabelSubjectMeal = 1 << 1,
 };
 
+namespace detail {
+/// The sink type the concepts below check `successors` against; the engine
+/// passes its own (a lambda that inserts each successor as it arrives).
 template <class S>
-struct Transition {
-  S to;
-  std::uint8_t label = kLabelNone;
+struct EmitArchetype {
+  void operator()(const S&, std::uint8_t) const {}
 };
+}  // namespace detail
 
 /// The reachable graph handed to `analyze` hooks, stored as compressed
 /// sparse rows: nodes sorted ascending by packed key (so analysis output is
 /// deterministic regardless of how many workers explored), one flat edge
-/// array indexed by per-node offsets. Compared to the former
-/// `std::map<key, vector<Transition>>` this is three flat allocations
-/// instead of one tree node plus one heap vector per state.
+/// array indexed by per-node offsets: four flat allocations, not one tree
+/// node plus one heap vector per state.
 template <class S>
 class ReachView {
  public:
@@ -240,22 +243,25 @@ class ReachView {
 ///    states by aggregate-initializing from it, so `State{bits}` must
 ///    reproduce the state;
 ///  * `initial_states()` — the exploration roots;
-///  * `successors(s, out)` — append every enabled transition from `s`;
-///  * `check_state(s)` — state-local invariant; non-empty string = violation;
-///  * `check_expansion(s, edges)` — invariant over a state plus its outgoing
-///    edges (deadlock-freedom, one-step structural lemmas);
+///  * `successors(s, emit)` — a member template over the sink: call
+///    emit(to, label) once per enabled transition from `s`. The engine's
+///    sink canonicalizes and inserts each successor as it is emitted, so no
+///    edge list is ever built;
+///  * `check_state(s)` — invariant of `s`; non-empty string = violation. A
+///    property of a state's outgoing edges (deadlock-freedom, a one-step
+///    structural lemma) is the model's to precompute and report here: the
+///    engine hands no edge list back;
 ///  * `describe(s)` — human-readable rendering for diagnostics.
 template <class M>
 concept Model =
     std::is_trivially_copyable_v<typename M::State> &&
     requires(const M model, const typename M::State state,
-             std::vector<Transition<typename M::State>>& out) {
+             const detail::EmitArchetype<typename M::State> emit) {
       { static_cast<std::uint64_t>(state.bits) };
       { typename M::State{state.bits} } -> std::same_as<typename M::State>;
       { model.initial_states() } -> std::same_as<std::vector<typename M::State>>;
-      { model.successors(state, out) } -> std::same_as<void>;
+      { model.successors(state, emit) } -> std::same_as<void>;
       { model.check_state(state) } -> std::same_as<std::string>;
-      { model.check_expansion(state, out) } -> std::same_as<std::string>;
       { model.describe(state) } -> std::same_as<std::string>;
     };
 
@@ -274,9 +280,9 @@ concept AnalyzableModel =
 /// under the renaming group the model supports at `level`. Requirements the
 /// engine relies on: the map must be idempotent, every group element must
 /// be an automorphism of the transition relation, and every property the
-/// model checks (check_state / check_expansion / analyze labels) must be
-/// orbit-invariant. For kSymmetryPor the model must restrict the group to
-/// renamings that fix the POR component ordering.
+/// model checks (check_state / analyze labels) must be orbit-invariant.
+/// For kSymmetryPor the model must restrict the group to renamings that fix
+/// the POR component ordering.
 template <class M>
 concept SymmetricModel =
     Model<M> && requires(const M model, const typename M::State state) {
@@ -291,19 +297,21 @@ concept SymmetricModel =
 /// component k's moves only from states where all components j < k are
 /// quiescent (component_quiescent — "at the local initial state"), which
 /// preserves the reachable state set exactly while pruning commuting
-/// interleavings. `por_stutter_invariant()` is the soundness gate: it must
-/// return true only if every checked property is insensitive to the pruned
-/// interleavings (component-local state/expansion invariants qualify); the
-/// engine refuses to apply POR when it returns false, and also when the
-/// model collects a reachable graph for `analyze` (lasso searches see
+/// interleavings. `component_successors(s, k, emit)` emits component k's
+/// moves the way `successors` emits all of them.
+/// `por_stutter_invariant()` is the soundness gate: it must return true
+/// only if every checked property is insensitive to the pruned
+/// interleavings (component-local state invariants qualify); the engine
+/// refuses to apply POR when it returns false, and also when the model
+/// collects a reachable graph for `analyze` (lasso searches see
 /// transitions, which POR prunes).
 template <class M>
 concept PorModel =
     Model<M> &&
     requires(const M model, const typename M::State state,
-             std::vector<Transition<typename M::State>>& out) {
+             const detail::EmitArchetype<typename M::State> emit) {
       { model.por_components() } -> std::convertible_to<int>;
-      { model.component_successors(state, 0, out) } -> std::same_as<void>;
+      { model.component_successors(state, 0, emit) } -> std::same_as<void>;
       { model.component_quiescent(state, 0) } -> std::convertible_to<bool>;
       { model.por_stutter_invariant() } -> std::convertible_to<bool>;
     };

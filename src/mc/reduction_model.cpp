@@ -90,6 +90,18 @@ std::string describe_pair(const Pair& st) {
   return out.str();
 }
 
+/// A product state, one pair block per entry (describe's text).
+std::string describe_blocks(std::span<const std::uint64_t> blocks) {
+  if (blocks.size() == 1) return describe_pair(Pair{blocks[0]});
+  std::string out;
+  for (std::size_t k = 0; k < blocks.size(); ++k) {
+    if (k > 0) out += "  ||  ";
+    out += "pair" + std::to_string(k) + "[" + describe_pair(Pair{blocks[k]}) +
+           "]";
+  }
+  return out;
+}
+
 /// Safety-lemma check for one pair; empty string when fine.
 std::string check_pair_invariants(const Pair& st) {
   for (int i = 0; i < 2; ++i) {
@@ -291,6 +303,52 @@ bool pair_bits_clean(const McOptions& options, std::uint64_t pair_bits) {
   return check_pair(options, Pair{pair_bits & kPairMask}).empty();
 }
 
+std::uint8_t pair_bits_facts(const McOptions& options, std::uint64_t pair_bits,
+                             std::span<const std::uint64_t> successors) {
+  const Pair st{pair_bits & kPairMask};
+  std::uint8_t facts = check_pair(options, st).empty() ? PairTable::kClean : 0;
+  if (st.crashed()) facts |= PairTable::kCrashed;
+  if (successors.empty()) facts |= PairTable::kStuck;
+  // Theorem 1: once crashed with both ping channels drained, nothing may
+  // set haveping again.
+  if (st.crashed() && st.ping_chan(0) == 0 && st.ping_chan(1) == 0) {
+    const std::uint64_t clear = ~st.get(Pair::kHavePing, 3) & 3;
+    for (const std::uint64_t next : successors) {
+      if ((Pair{next & kPairMask}.get(Pair::kHavePing, 3) & clear) != 0) {
+        facts |= PairTable::kTheorem1;
+        break;
+      }
+    }
+  }
+  return facts;
+}
+
+std::string check_pair_blocks(const McOptions& options,
+                              std::span<const std::uint64_t> blocks,
+                              std::span<const std::uint8_t> facts) {
+  assert(blocks.size() == facts.size());
+  for (std::size_t k = 0; k < blocks.size(); ++k) {
+    if (facts[k] & PairTable::kClean) continue;
+    const Pair st{blocks[k] & kPairMask};
+    return check_pair(options, st) + " | pair " + std::to_string(k) + ": " +
+           describe_pair(st);
+  }
+  bool deadlock = options.check_deadlock;
+  for (const std::uint8_t f : facts) {
+    deadlock =
+        deadlock && (f & PairTable::kStuck) && !(f & PairTable::kCrashed);
+  }
+  if (deadlock) return "deadlock: " + describe_blocks(blocks);
+  for (std::size_t k = 0; k < blocks.size(); ++k) {
+    if (facts[k] & PairTable::kTheorem1) {
+      return "Theorem 1 violated: haveping set after crash with empty "
+             "channels | pair " +
+             std::to_string(k) + ": " + describe_pair(Pair{blocks[k]});
+    }
+  }
+  return {};
+}
+
 PairTable::PairTable(const McOptions& options) {
   // BFS over the one-pair relation; blocks_ doubles as the queue, so each
   // block's successors are appended in index order and form its CSR row.
@@ -308,19 +366,15 @@ PairTable::PairTable(const McOptions& options) {
   visit(kInitialPairBits);  // index 0
   visit(flip_pair_bits(kInitialPairBits));
   offsets_.push_back(0);
+  std::vector<std::uint64_t> next;
   for (std::size_t i = 0; i < blocks_.size(); ++i) {
-    const Pair st{blocks_[i]};
-    pair_successors(options, st, [&](const Pair& next) {
-      succ_.push_back(visit(next.bits));
-    });
+    const std::uint64_t block = blocks_[i];
+    next.clear();
+    pair_successors(options, Pair{block},
+                    [&](const Pair& to) { next.push_back(to.bits); });
+    for (const std::uint64_t to : next) succ_.push_back(visit(to));
     offsets_.push_back(static_cast<std::uint32_t>(succ_.size()));
-    std::uint8_t facts = check_pair(options, st).empty() ? kClean : 0;
-    if (st.crashed()) facts |= kCrashed;
-    if (st.crashed() && st.ping_chan(0) == 0 && st.ping_chan(1) == 0) {
-      facts |= kDrained;
-    }
-    facts |= static_cast<std::uint8_t>(st.get(Pair::kHavePing, 3) << 3);
-    facts_.push_back(facts);
+    facts_.push_back(pair_bits_facts(options, block, next));
   }
   for (const std::uint32_t block : blocks_) {
     flip_.push_back(find(flip_pair_bits(block)));
@@ -352,71 +406,20 @@ ReductionModel::ReductionModel(const McOptions& options)
   if (options_.pairs > 2) options_.pairs = 2;  // canonical() swaps two pairs
 }
 
-std::uint32_t ReductionModel::index_of(const State& state, int k) const {
-  const auto index = static_cast<std::uint32_t>(
-      (state.bits >> (k * index_bits_)) & index_mask_);
-  assert(index < table_.size() && "a state codes an index past the table");
-  return index;
-}
-
 std::vector<ReductionModel::State> ReductionModel::initial_states() const {
   return {State{0}};  // every pair at index 0, its initial block
 }
 
-void ReductionModel::emit_pair(const State& state, int k,
-                               std::vector<Transition<State>>& out) const {
-  const int shift = k * index_bits_;
-  const std::uint64_t rest = state.bits & ~(index_mask_ << shift);
-  for (const std::uint32_t next : table_.successors(index_of(state, k))) {
-    out.push_back({State{rest | (std::uint64_t{next} << shift)}, kLabelNone});
+std::string ReductionModel::report(const State& state) const {
+  std::uint64_t blocks[2] = {0, 0};
+  std::uint8_t facts[2] = {0, 0};
+  const auto pairs = static_cast<std::size_t>(options_.pairs);
+  for (std::size_t k = 0; k < pairs; ++k) {
+    const std::uint32_t index = index_of(state, static_cast<int>(k));
+    blocks[k] = table_.block(index);
+    facts[k] = table_.facts(index);
   }
-}
-
-void ReductionModel::successors(const State& state,
-                                std::vector<Transition<State>>& out) const {
-  for (int k = 0; k < options_.pairs; ++k) emit_pair(state, k, out);
-}
-
-std::string ReductionModel::check_state(const State& state) const {
-  for (int k = 0; k < options_.pairs; ++k) {
-    const std::uint32_t index = index_of(state, k);
-    if (table_.clean(index)) continue;
-    const Pair st{table_.block(index)};
-    return check_pair(options_, st) + " | pair " + std::to_string(k) + ": " +
-           describe_pair(st);
-  }
-  return {};
-}
-
-std::string ReductionModel::check_expansion(
-    const State& state, const std::vector<Transition<State>>& edges) const {
-  // Theorem 1 structural check: once crashed with drained channels,
-  // nothing may set haveping again. Byte k of `watched` holds, for every
-  // such pair k, the haveping facts still clear; an edge violates it if
-  // its pair-k block has one of them set.
-  constexpr unsigned kHavePing = 3 * PairTable::kHavePing0;
-  bool any_crashed = false;
-  std::uint32_t watched = 0;
-  for (int k = 0; k < options_.pairs; ++k) {
-    const unsigned facts = table_.facts(index_of(state, k));
-    any_crashed = any_crashed || (facts & PairTable::kCrashed) != 0;
-    if (facts & PairTable::kDrained) watched |= (~facts & kHavePing) << (8 * k);
-  }
-  if (edges.empty() && options_.check_deadlock && !any_crashed) {
-    return "deadlock: " + describe(state);
-  }
-  for (int k = 0; k < options_.pairs; ++k) {  // the first such pair
-    const unsigned clear = (watched >> (8 * k)) & 0xffu;
-    if (clear == 0) continue;
-    for (const Transition<State>& t : edges) {
-      if ((table_.facts(index_of(t.to, k)) & clear) == 0) continue;
-      return "Theorem 1 violated: haveping set after crash with empty "
-             "channels | pair " +
-             std::to_string(k) + ": " +
-             describe_pair(Pair{block_of(state, k)});
-    }
-  }
-  return {};
+  return check_pair_blocks(options_, {blocks, pairs}, {facts, pairs});
 }
 
 int ReductionModel::code_bits() const { return index_bits_ * options_.pairs; }
@@ -440,11 +443,6 @@ ReductionModel::State ReductionModel::canonical(const State& state,
 }
 
 int ReductionModel::por_components() const { return options_.pairs; }
-
-void ReductionModel::component_successors(
-    const State& state, int k, std::vector<Transition<State>>& out) const {
-  emit_pair(state, k, out);
-}
 
 bool ReductionModel::component_quiescent(const State& state, int k) const {
   return index_of(state, k) == 0;
@@ -476,14 +474,12 @@ std::uint64_t ReductionModel::block_of(const State& state, int k) const {
 }
 
 std::string ReductionModel::describe(const State& state) const {
-  if (options_.pairs == 1) return describe_pair(Pair{block_of(state, 0)});
-  std::string out;
-  for (int k = 0; k < options_.pairs; ++k) {
-    if (k > 0) out += "  ||  ";
-    out += "pair" + std::to_string(k) + "[" +
-           describe_pair(Pair{block_of(state, k)}) + "]";
+  std::uint64_t blocks[2] = {0, 0};
+  const auto pairs = static_cast<std::size_t>(options_.pairs);
+  for (std::size_t k = 0; k < pairs; ++k) {
+    blocks[k] = block_of(state, static_cast<int>(k));
   }
-  return out;
+  return describe_blocks({blocks, pairs});
 }
 
 static_assert(Model<ReductionModel>);

@@ -27,7 +27,7 @@
 // lemma lattice survives composition (the full extraction runs N(N-1) such
 // pairs concurrently).
 //
-// Checked on every reachable state / transition (per pair):
+// Checked on every reachable state (per pair):
 //  * Lemma 2:  s_i not eating  =>  ping_i = true
 //  * Lemma 3:  (s_i not eating and ping_i)  =>  both channels empty
 //  * Lemma 4:  s_i hungry  =>  trigger = i
@@ -48,9 +48,14 @@
 // seen-set can be a bitmap over every code — SPIN's collapse compression,
 // with the PairTable as the component table. The per-state hooks compose
 // their answers from the table per pair index; only diagnostics decode a
-// block.
+// block. That includes the checks over a state's successors: a product
+// state deadlocks iff every pair's row is empty (and no pair has crashed),
+// and Theorem 1 fails iff some pair's own successors break it (the other
+// pairs' moves leave its block alone), so both are table facts per block
+// and check_state reads them like the lemma invariants.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <initializer_list>
 #include <span>
@@ -86,21 +91,24 @@ struct McOptions {
 /// successors and under the flip (the flip is an automorphism, so it maps
 /// the blocks reachable from one root onto those reachable from the other).
 /// Per index the table holds its successor indices in pair_successor_bits
-/// order (CSR), the index of its flip, and one byte of facts the model's
-/// hooks read instead of decoding the block. Lookup from a block is open
-/// addressing in a power-of-two table at least twice the block count; the
-/// hooks never need it, only construction and tests do. Immutable after
-/// construction, so concurrent workers read it without a lock.
+/// order (CSR), the index of its flip, and one byte of facts
+/// (pair_bits_facts) the model's hooks read instead of decoding the block.
+/// Lookup from a block is open addressing in a power-of-two table at least
+/// twice the block count; the hooks never need it, only construction and
+/// tests do. Immutable after construction, so concurrent workers read it
+/// without a lock.
 class PairTable {
  public:
   static constexpr std::uint32_t kMissing = ~std::uint32_t{0};
 
   /// The facts byte of one block.
   enum Fact : std::uint8_t {
-    kClean = 1 << 0,      ///< pair_bits_clean: the per-pair checks pass
-    kCrashed = 1 << 1,    ///< the subject has crashed
-    kDrained = 1 << 2,    ///< crashed with both ping channels empty
-    kHavePing0 = 1 << 3,  ///< haveping of instance 0; instance 1 is next
+    kClean = 1 << 0,     ///< pair_bits_clean: the per-pair checks pass
+    kCrashed = 1 << 1,   ///< the subject has crashed
+    kStuck = 1 << 2,     ///< no successor: the block's row is empty
+    kTheorem1 = 1 << 3,  ///< Theorem 1 fails here: crashed with both ping
+                         ///< channels empty, and a successor sets a
+                         ///< haveping bit that is clear in the block
   };
 
   explicit PairTable(const McOptions& options);
@@ -128,7 +136,6 @@ class PairTable {
   /// find(flip_pair_bits(block(index))), precomputed.
   std::uint32_t flip(std::uint32_t index) const { return flip_[index]; }
   std::uint8_t facts(std::uint32_t index) const { return facts_[index]; }
-  bool clean(std::uint32_t index) const { return facts_[index] & kClean; }
 
  private:
   static constexpr std::uint64_t kMultiplier = 0x9e3779b97f4a7c15ull;
@@ -160,11 +167,32 @@ class ReductionModel {
   explicit ReductionModel(const McOptions& options);
 
   std::vector<State> initial_states() const;
-  void successors(const State& state,
-                  std::vector<Transition<State>>& out) const;
-  std::string check_state(const State& state) const;
-  std::string check_expansion(const State& state,
-                              const std::vector<Transition<State>>& edges) const;
+  /// emit(to, kLabelNone) per successor: pair 0's moves, then pair 1's.
+  template <class Emit>
+  void successors(const State& state, Emit&& emit) const {
+    for (int k = 0; k < options_.pairs; ++k) emit_pair(state, k, emit);
+  }
+  /// The lemma invariants and Theorem 2 (kClean), deadlock (every pair
+  /// kStuck, none kCrashed, under check_deadlock) and Theorem 1
+  /// (kTheorem1), all read from the pairs' facts bytes; the report itself
+  /// is built out of line (check_pair_blocks) only when one fails.
+  std::string check_state(const State& state) const {
+    unsigned all = ~0u;  // facts every pair has
+    unsigned any = 0;    // facts some pair has
+    for (int k = 0; k < options_.pairs; ++k) {
+      const unsigned facts = table_.facts(index_of(state, k));
+      all &= facts;
+      any |= facts;
+    }
+    const bool deadlock = options_.check_deadlock &&
+                          (all & PairTable::kStuck) != 0 &&
+                          (any & PairTable::kCrashed) == 0;
+    if ((all & PairTable::kClean) != 0 &&
+        (any & PairTable::kTheorem1) == 0 && !deadlock) {
+      return {};
+    }
+    return report(state);
+  }
   std::string describe(const State& state) const;
 
   /// CompactModel: significant low bits of the packed key (one table index
@@ -183,13 +211,15 @@ class ReductionModel {
   /// PorModel: one independent component per pair (pair k's transitions
   /// read and write only pair k's index; the crash move is per-pair too).
   /// Quiescent = the pair sits at index 0, its local initial block. Every
-  /// checked property is component-local (the lemma invariants, Theorem 2
-  /// and Theorem 1 all quantify over one pair at a time, and deadlock goes
-  /// through the engine's full-expansion proviso), so the stutter gate
-  /// holds.
+  /// checked property is a fact of the reached state, read from its pairs'
+  /// table facts (the lemma invariants, Theorem 2 and Theorem 1 quantify
+  /// over one pair at a time, deadlock over all pairs' full rows), never
+  /// from the reduced edge set, so the stutter gate holds.
   int por_components() const;
-  void component_successors(const State& state, int k,
-                            std::vector<Transition<State>>& out) const;
+  template <class Emit>
+  void component_successors(const State& state, int k, Emit&& emit) const {
+    emit_pair(state, k, emit);
+  }
   bool component_quiescent(const State& state, int k) const;
   bool por_stutter_invariant() const;
 
@@ -204,10 +234,23 @@ class ReductionModel {
 
  private:
   /// Pair k's table index in `state`.
-  std::uint32_t index_of(const State& state, int k) const;
-  /// Append `state`'s successors that move pair k.
-  void emit_pair(const State& state, int k,
-                 std::vector<Transition<State>>& out) const;
+  std::uint32_t index_of(const State& state, int k) const {
+    const auto index = static_cast<std::uint32_t>(
+        (state.bits >> (k * index_bits_)) & index_mask_);
+    assert(index < table_.size() && "a state codes an index past the table");
+    return index;
+  }
+  /// Emit `state`'s successors that move pair k.
+  template <class Emit>
+  void emit_pair(const State& state, int k, Emit& emit) const {
+    const int shift = k * index_bits_;
+    const std::uint64_t rest = state.bits & ~(index_mask_ << shift);
+    for (const std::uint32_t next : table_.successors(index_of(state, k))) {
+      emit(State{rest | (std::uint64_t{next} << shift)}, kLabelNone);
+    }
+  }
+  /// check_state's slow path: which check failed, and where.
+  std::string report(const State& state) const;
 
   McOptions options_;
   PairTable table_;
@@ -227,6 +270,21 @@ std::uint64_t flip_pair_bits(std::uint64_t pair_bits);
 std::vector<std::uint64_t> pair_successor_bits(const McOptions& options,
                                                std::uint64_t pair_bits);
 bool pair_bits_clean(const McOptions& options, std::uint64_t pair_bits);
+
+/// The facts byte of one 26-bit pair block whose successor blocks are
+/// `successors` — what the PairTable build stores per row, given the row's
+/// own successors; tests may hand it any. kClean is pair_bits_clean.
+std::uint8_t pair_bits_facts(const McOptions& options, std::uint64_t pair_bits,
+                             std::span<const std::uint64_t> successors);
+
+/// check_state's report for pairs at `blocks` (one per pair) with facts
+/// bytes `facts`: the first pair's failed lemma or Theorem 2 check, else
+/// "deadlock: ..." when every pair is stuck and none crashed (under
+/// check_deadlock), else the first pair that breaks Theorem 1; empty when
+/// none applies.
+std::string check_pair_blocks(const McOptions& options,
+                              std::span<const std::uint64_t> blocks,
+                              std::span<const std::uint8_t> facts);
 
 /// Exhaustively explore the reduction model via mc::run_check.
 CheckResult check_reduction(const McOptions& options,

@@ -46,19 +46,11 @@
 #endif
 
 #include "mc/codec.hpp"
+#include "mc/hash.hpp"
 #include "mc/model.hpp"
 
 namespace wfd::mc {
 namespace detail {
-
-/// splitmix64 finalizer — packed states are highly structured; hash before
-/// choosing probe positions.
-inline std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
 
 /// The one packed key no model may use: it marks an empty seen-set slot.
 /// The engine reports a model that packs it as a violation (it would

@@ -4,7 +4,7 @@
 #include <sstream>
 
 #include "mc/ablation_model.hpp"
-#include "mc/engine.hpp"
+#include "mc/hash.hpp"
 
 namespace wfd::scenario {
 

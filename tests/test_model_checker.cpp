@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cerrno>
 #include <cstdint>
 #include <cstdio>
@@ -188,18 +189,15 @@ struct GridModel {
 
   std::vector<State> initial_states() const { return {State{0}}; }
 
-  void successors(const State& st, std::vector<Transition<State>>& out) const {
+  template <class Emit>
+  void successors(const State& st, Emit&& emit) const {
     const std::uint64_t x = st.bits % side;
     const std::uint64_t y = st.bits / side;
-    if (x + 1 < side) out.push_back({State{st.bits + 1}, kLabelNone});
-    if (y + 1 < side) out.push_back({State{st.bits + side}, kLabelNone});
+    if (x + 1 < side) emit(State{st.bits + 1}, kLabelNone);
+    if (y + 1 < side) emit(State{st.bits + side}, kLabelNone);
   }
 
   std::string check_state(const State&) const { return {}; }
-  std::string check_expansion(const State&,
-                              const std::vector<Transition<State>>&) const {
-    return {};
-  }
   std::string describe(const State& st) const {
     return "(" + std::to_string(st.bits % side) + "," +
            std::to_string(st.bits / side) + ")";
@@ -282,15 +280,12 @@ struct SentinelModel {
     if (sentinel_initial) return {State{~0ull}};
     return {State{0}};
   }
-  void successors(const State& st, std::vector<Transition<State>>& out) const {
-    if (st.bits < 3) out.push_back({State{st.bits + 1}, kLabelNone});
-    if (st.bits == 3) out.push_back({State{~0ull}, kLabelNone});
+  template <class Emit>
+  void successors(const State& st, Emit&& emit) const {
+    if (st.bits < 3) emit(State{st.bits + 1}, kLabelNone);
+    if (st.bits == 3) emit(State{~0ull}, kLabelNone);
   }
   std::string check_state(const State&) const { return {}; }
-  std::string check_expansion(const State&,
-                              const std::vector<Transition<State>>&) const {
-    return {};
-  }
   std::string describe(const State& st) const {
     return "s" + std::to_string(st.bits);
   }
@@ -448,17 +443,12 @@ std::vector<std::uint64_t> reachable_pair_blocks(const McOptions& options) {
   std::set<std::uint64_t> reached;
   std::vector<ReductionModel::State> frontier = model.initial_states();
   for (const auto& s : frontier) reached.insert(model.block_of(s, 0));
-  std::vector<Transition<ReductionModel::State>> edges;
   while (!frontier.empty()) {
     std::vector<ReductionModel::State> next;
     for (const auto& s : frontier) {
-      edges.clear();
-      model.successors(s, edges);
-      for (const auto& e : edges) {
-        if (reached.insert(model.block_of(e.to, 0)).second) {
-          next.push_back(e.to);
-        }
-      }
+      model.successors(s, [&](const ReductionModel::State& to, std::uint8_t) {
+        if (reached.insert(model.block_of(to, 0)).second) next.push_back(to);
+      });
     }
     frontier = std::move(next);
   }
@@ -479,14 +469,13 @@ TEST(ReductionLevels, FlipIsAutomorphismOfPairSuccessors) {
       options.check_accuracy = mode == BoxMode::kExclusive;
       const ReductionModel model(options);
       const PairTable& table = model.pair_table();
-      std::vector<Transition<ReductionModel::State>> edges;
       auto edge_set = [&](std::uint64_t block) {
         std::set<std::pair<std::uint64_t, std::uint8_t>> out;
-        edges.clear();
-        model.successors(model.state_of({block}), edges);
-        for (const auto& e : edges) {
-          out.emplace(model.block_of(e.to, 0), e.label);
-        }
+        model.successors(model.state_of({block}),
+                         [&](const ReductionModel::State& to,
+                             std::uint8_t label) {
+                           out.emplace(model.block_of(to, 0), label);
+                         });
         return out;
       };
       for (const std::uint64_t block : reachable_pair_blocks(options)) {
@@ -672,18 +661,15 @@ struct CounterTripleModel {
   }
 
   std::vector<State> initial_states() const { return {State{0}}; }
-  void successors(const State& st, std::vector<Transition<State>>& out) const {
+  template <class Emit>
+  void successors(const State& st, Emit&& emit) const {
     for (int i = 0; i < 3; ++i) {
       if (digit(st.bits, i) < 2) {
-        out.push_back({State{st.bits + (1ull << (2 * i))}, kLabelNone});
+        emit(State{st.bits + (1ull << (2 * i))}, kLabelNone);
       }
     }
   }
   std::string check_state(const State&) const { return {}; }
-  std::string check_expansion(const State&,
-                              const std::vector<Transition<State>>&) const {
-    return {};
-  }
   std::string describe(const State& st) const {
     return std::to_string(digit(st.bits, 2)) + std::to_string(digit(st.bits, 1)) +
            std::to_string(digit(st.bits, 0));
@@ -757,9 +743,13 @@ TEST(ModelChecker, ArbitraryAccuracyReportsTheoremTwoAtDepth20) {
   }
 }
 
-// check_expansion judges the edges it is handed (under POR a subset of all
-// successors), so it is driven here directly with edges built from blocks.
-TEST(ModelChecker, CheckExpansionReportsTheoremOneAndDeadlock) {
+// Deadlock and Theorem 1 are facts of a block's own successors, computed by
+// pair_bits_facts when the PairTable is built and reported by
+// check_pair_blocks, check_state's slow path. No real block deadlocks or
+// breaks Theorem 1, so both are driven here with fabricated successor sets:
+// none of these inputs is a reachable product state's real row, so each
+// property is asserted on the two functions rather than through a state.
+TEST(ModelChecker, PairFactsReportTheoremOneAndDeadlock) {
   McOptions options;
   options.mode = BoxMode::kExclusive;
   options.allow_crash = true;
@@ -782,50 +772,100 @@ TEST(ModelChecker, CheckExpansionReportsTheoremOneAndDeadlock) {
     }
   }
   ASSERT_TRUE(have_drained && have_pinged);
-  using Edges = std::vector<Transition<ReductionModel::State>>;
+  using Blocks = std::vector<std::uint64_t>;
+  // The facts of `block` given `successors`, then the report for one pair
+  // per entry of `blocks` with those facts.
+  const auto facts = [](const McOptions& o, std::uint64_t block,
+                        const Blocks& successors) {
+    return pair_bits_facts(o, block, successors);
+  };
+  const auto report = [](const McOptions& o, const Blocks& blocks,
+                         const std::vector<std::uint8_t>& pair_facts) {
+    return check_pair_blocks(o, blocks, pair_facts);
+  };
 
-  const ReductionModel one(options);
-  const auto at = [&](std::uint64_t block) { return one.state_of({block}); };
-  EXPECT_EQ(one.check_expansion(at(drained), Edges{{at(pinged)}})
+  EXPECT_TRUE(facts(options, drained, {pinged}) & PairTable::kTheorem1);
+  EXPECT_EQ(report(options, {drained}, {facts(options, drained, {pinged})})
                 .rfind("Theorem 1 violated", 0),
             0u);
-  EXPECT_EQ(one.check_expansion(at(drained), Edges{{at(drained)}}), "");
-  EXPECT_EQ(one.check_expansion(at(drained), Edges{}), "")
+  EXPECT_EQ(report(options, {drained}, {facts(options, drained, {drained})}),
+            "");
+  EXPECT_TRUE(facts(options, drained, {}) & PairTable::kStuck);
+  EXPECT_EQ(report(options, {drained}, {facts(options, drained, {})}), "")
       << "a crashed state may have no successor";
 
   // Two pairs: only the crashed, drained pair is watched, and the report
-  // names it.
+  // names it. A pair with no move among the successors gets an empty set.
   McOptions two_pairs = options;
   two_pairs.pairs = 2;
   const ReductionModel two(two_pairs);
   const std::uint64_t live = two.block_of(two.initial_states().front(), 0);
-  const auto both = [&](std::uint64_t pair0, std::uint64_t pair1) {
-    return two.state_of({pair0, pair1});
-  };
-  const std::string named = two.check_expansion(
-      both(live, drained), Edges{{both(live, pinged)}});
+  const std::string named =
+      report(two_pairs, {live, drained},
+             {facts(two_pairs, live, {}), facts(two_pairs, drained, {pinged})});
   EXPECT_EQ(named.rfind("Theorem 1 violated", 0), 0u) << named;
   EXPECT_NE(named.find("| pair 1:"), std::string::npos) << named;
   EXPECT_NE(named.find(describe_state(drained)), std::string::npos) << named;
-  EXPECT_EQ(two.check_expansion(both(drained, live),
-                                Edges{{both(drained, pinged)}}),
+  EXPECT_EQ(report(two_pairs, {drained, live},
+                   {facts(two_pairs, drained, {}),
+                    facts(two_pairs, live, {pinged})}),
             "")
       << "a live pair may set haveping";
 
   McOptions live_options;  // exclusive, no crash, deadlock checked
   const ReductionModel live_model(live_options);
+  const std::uint64_t initial =
+      live_model.block_of(live_model.initial_states().front(), 0);
   const std::string deadlock =
-      live_model.check_expansion(live_model.initial_states().front(), Edges{});
+      report(live_options, {initial}, {facts(live_options, initial, {})});
   EXPECT_EQ(deadlock.rfind("deadlock: ", 0), 0u) << deadlock;
+  // With two pairs the report renders the product state as describe does.
+  McOptions live_two = live_options;
+  live_two.pairs = 2;
+  const ReductionModel live_two_model(live_two);
+  const std::uint8_t stuck = facts(live_two, initial, {});
+  const ReductionModel::State both_initial =
+      live_two_model.initial_states().front();
+  EXPECT_EQ(report(live_two, {initial, initial}, {stuck, stuck}),
+            "deadlock: " + live_two_model.describe(both_initial));
+  EXPECT_EQ(report(live_two, {initial, initial},
+                   {stuck, facts(live_two, initial, {pinged})}),
+            "")
+      << "a pair with a move keeps the state live";
 }
 
 // --- the per-pair transition table ------------------------------------------
 
+// Theorem 1 read off describe_state's text, apart from pair_bits_facts: the
+// block is crashed with both ping channels empty ("chans=p00"), and some
+// successor shows haveping 1 where the block shows 0.
+bool breaks_theorem_one(std::uint64_t block,
+                        const std::vector<std::uint64_t>& successors) {
+  const std::string text = describe_state(block);
+  if (text.find(" CRASHED") == std::string::npos ||
+      text.find("chans=p00") == std::string::npos) {
+    return false;
+  }
+  const auto haveping = [](const std::string& t) {
+    return t.substr(t.find("haveping=") + 9, 2);
+  };
+  const std::string mine = haveping(text);
+  for (const std::uint64_t next : successors) {
+    const std::string theirs = haveping(describe_state(next));
+    for (int i = 0; i < 2; ++i) {
+      if (mine[i] == '0' && theirs[i] == '1') return true;
+    }
+  }
+  return false;
+}
+
 // Every cached block, in all eight mode x crash x accuracy regimes, carries
 // exactly the direct computation: its successors (mapped from indices back
-// to blocks) in emission order and its clean bit. Index 0 is the initial
-// block, the flip index is an involution, and the table is closed under
-// successors, so a state never codes a block outside it.
+// to blocks) in emission order, its clean bit, and its two expansion facts
+// (stuck iff the row is empty; Theorem 1 as breaks_theorem_one reads it).
+// Index 0 is the initial block, the flip index is an involution, and the
+// table is closed under successors, so a state never codes a block outside
+// it.
 TEST(PairTable, CachedBlocksMatchDirectComputation) {
   for (const BoxMode mode : {BoxMode::kExclusive, BoxMode::kArbitrary}) {
     for (const bool crash : {false, true}) {
@@ -844,7 +884,7 @@ TEST(PairTable, CachedBlocksMatchDirectComputation) {
         EXPECT_EQ((table.size() - 1) >> table.index_bits(), 0u);
         EXPECT_EQ((table.size() - 1) >> (table.index_bits() - 1), 1u)
             << "index_bits is the narrowest width";
-        std::size_t unclean = 0;
+        std::size_t unclean = 0, stuck = 0, theorem_one = 0;
         for (std::uint32_t i = 0; i < table.size(); ++i) {
           const std::uint64_t block = table.block(i);
           ASSERT_EQ(table.find(block), i);
@@ -854,15 +894,31 @@ TEST(PairTable, CachedBlocksMatchDirectComputation) {
             ASSERT_LT(next, table.size());
             cached.push_back(table.block(next));
           }
-          ASSERT_EQ(cached, pair_successor_bits(options, block))
+          const std::vector<std::uint64_t> direct =
+              pair_successor_bits(options, block);
+          ASSERT_EQ(cached, direct)
               << "mode=" << static_cast<int>(mode) << " crash=" << crash
               << " accuracy=" << accuracy << " " << describe_state(block);
-          ASSERT_EQ(table.clean(i), pair_bits_clean(options, block))
+          const std::uint8_t facts = table.facts(i);
+          const bool clean = (facts & PairTable::kClean) != 0;
+          ASSERT_EQ(clean, pair_bits_clean(options, block))
               << describe_state(block);
-          unclean += table.clean(i) ? 0 : 1;
+          ASSERT_EQ(facts, pair_bits_facts(options, block, direct))
+              << describe_state(block);
+          ASSERT_EQ((facts & PairTable::kStuck) != 0, direct.empty())
+              << describe_state(block);
+          ASSERT_EQ((facts & PairTable::kTheorem1) != 0,
+                    breaks_theorem_one(block, direct))
+              << describe_state(block);
+          unclean += clean ? 0 : 1;
+          stuck += (facts & PairTable::kStuck) ? 1 : 0;
+          theorem_one += (facts & PairTable::kTheorem1) ? 1 : 0;
         }
-        // Theorem 2 fails only where the mistake prefix is checked for it.
+        // Theorem 2 fails only where the mistake prefix is checked for it;
+        // no block deadlocks or breaks Theorem 1 in any regime.
         EXPECT_EQ(unclean != 0, accuracy && mode == BoxMode::kArbitrary);
+        EXPECT_EQ(stuck, 0u);
+        EXPECT_EQ(theorem_one, 0u);
       }
     }
   }
@@ -949,10 +1005,11 @@ struct TruncatingTreeModel {
   mutable bool truncated = false;
 
   std::vector<State> initial_states() const { return {State{0}}; }
-  void successors(const State& st, std::vector<Transition<State>>& out) const {
+  template <class Emit>
+  void successors(const State& st, Emit&& emit) const {
     if (st.bits >= kFirstLeaf) return;
-    out.push_back({State{2 * st.bits + 1}, kLabelNone});
-    out.push_back({State{2 * st.bits + 2}, kLabelNone});
+    emit(State{2 * st.bits + 1}, kLabelNone);
+    emit(State{2 * st.bits + 2}, kLabelNone);
   }
   std::string check_state(const State& st) const {
     if (st.bits >= kFirstLeaf && !truncated) {
@@ -965,10 +1022,6 @@ struct TruncatingTreeModel {
         }
       }
     }
-    return {};
-  }
-  std::string check_expansion(const State&,
-                              const std::vector<Transition<State>>&) const {
     return {};
   }
   std::string describe(const State& st) const {
@@ -1007,24 +1060,41 @@ TEST(ParallelEngine, SpillReadFailureStopsTheCheck) {
 
 // --- the compact codec and seen-set, directly -------------------------------
 
+// Widths 20-24 are the two-pair reduction's codes. Besides 1000 codes, each
+// width runs lengths that end exactly on a word boundary (and one code to
+// either side), where the last code's next word is the pad itself. The
+// reads also go through an exact copy of the words plus the pad, as a
+// frontier segment holds them, so a read past the pad leaves the buffer.
 TEST(Codec, PackedCodeVectorRoundTripsAcrossWordBoundaries) {
-  for (const int width : {1, 7, 26, 52, 63, 64}) {
-    PackedCodeVector vec(width);
-    std::vector<std::uint64_t> expect;
-    std::uint64_t x = 0x243f6a8885a308d3ull;  // arbitrary nonzero seed
-    for (int i = 0; i < 1000; ++i) {
-      x = x * 6364136223846793005ull + 1442695040888963407ull;
-      const std::uint64_t code = x & code_mask(width);
-      expect.push_back(code);
-      vec.push_back(code);
+  for (const int width : {1, 7, 20, 22, 24, 26, 52, 63, 64}) {
+    // Codes per whole number of words: 64 / gcd(width, 64).
+    const std::size_t aligned = std::size_t{64} >> std::countr_zero(
+                                    static_cast<unsigned>(width | 64));
+    for (const std::size_t count :
+         {std::size_t{1000}, aligned, 2 * aligned - 1, 2 * aligned,
+          2 * aligned + 1}) {
+      PackedCodeVector vec(width);
+      std::vector<std::uint64_t> expect;
+      std::uint64_t x = 0x243f6a8885a308d3ull;  // arbitrary nonzero seed
+      for (std::size_t i = 0; i < count; ++i) {
+        x = x * 6364136223846793005ull + 1442695040888963407ull;
+        const std::uint64_t code = x & code_mask(width);
+        expect.push_back(code);
+        vec.push_back(code);
+      }
+      ASSERT_EQ(vec.size(), expect.size());
+      EXPECT_EQ(vec.word_count(), PackedCodeVector::words_for(count, width))
+          << "width=" << width << " count=" << count;
+      EXPECT_EQ(vec.words()[vec.word_count()], 0u) << "the pad is zero";
+      const std::vector<std::uint64_t> exact(
+          vec.words(), vec.words() + vec.word_count() + 1);
+      for (std::size_t i = 0; i < expect.size(); ++i) {
+        EXPECT_EQ(vec[i], expect[i])
+            << "width=" << width << " count=" << count << " i=" << i;
+        // The static reader is what spilled segments are decoded with.
+        EXPECT_EQ(PackedCodeVector::read(exact.data(), width, i), expect[i]);
+      }
     }
-    ASSERT_EQ(vec.size(), expect.size());
-    for (std::size_t i = 0; i < expect.size(); ++i) {
-      EXPECT_EQ(vec[i], expect[i]) << "width=" << width << " i=" << i;
-      // The static reader is what spilled segments are decoded with.
-      EXPECT_EQ(PackedCodeVector::read(vec.words(), width, i), expect[i]);
-    }
-    EXPECT_EQ(vec.word_count(), PackedCodeVector::words_for(1000, width));
   }
 }
 
@@ -1258,19 +1328,14 @@ struct SpreadModel {
            code_mask(kBits);
   }
   std::vector<State> initial_states() const { return {State{0}}; }
-  void successors(const State& st, std::vector<Transition<State>>& out) const {
+  template <class Emit>
+  void successors(const State& st, Emit&& emit) const {
     const std::uint64_t i = index_of(st);
     for (const std::uint64_t next : {2 * i + 1, 2 * i + 2, i + 1}) {
-      if (next < states) {
-        out.push_back({State{spread_code(next, kBits)}, kLabelNone});
-      }
+      if (next < states) emit(State{spread_code(next, kBits)}, kLabelNone);
     }
   }
   std::string check_state(const State&) const { return {}; }
-  std::string check_expansion(const State&,
-                              const std::vector<Transition<State>>&) const {
-    return {};
-  }
   std::string describe(const State& st) const {
     return "i" + std::to_string(index_of(st));
   }
@@ -1338,6 +1403,50 @@ TEST(ParallelEngine, SlabMapsAlignedZeroedPagesAndReleasesThem) {
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(small.data) % 64, 0u);
   for (std::size_t i = 0; i < small.count; ++i) {
     ASSERT_EQ(small.data[i], 0u) << "slot " << i;
+  }
+}
+
+// The engine's two sinks: on bitmap levels each successor is inserted as it
+// is emitted; on hash-table levels it is hashed, filtered and prefetched,
+// and inserted a state later. The 22-bit relation (arbitrary mode, no
+// crash, two pairs) runs on the bitmap from level 0 when hinted, and on the
+// compact table until a growth hands over when not; both must explore
+// identically. With accuracy checked it stops on Theorem 2 at depth 20,
+// before that hand-over, so the unhinted counterexample comes from the hash
+// sink alone.
+TEST(ModelChecker, BitmapAndHashSinksExploreIdentically) {
+  for (const bool accuracy : {false, true}) {
+    McOptions options;
+    options.mode = BoxMode::kArbitrary;
+    options.check_accuracy = accuracy;
+    options.pairs = 2;
+    const ReductionModel model(options);
+    ASSERT_EQ(model.code_bits(), 22);
+    for (const int threads : {1, 4}) {
+      const CheckResult hinted = run_check(
+          model, {.threads = threads, .expected_states = 1'742'400});
+      const CheckResult unhinted = run_check(model, {.threads = threads});
+      EXPECT_EQ(hinted.seen_table, SeenTable::kBitmap);
+      EXPECT_EQ(hinted.seen_bytes, detail::BitmapSeenSet::bytes_for(22))
+          << "the hinted check never held a hash table";
+      if (accuracy) {
+        EXPECT_EQ(unhinted.seen_table, SeenTable::kCompact);
+      } else {
+        EXPECT_EQ(unhinted.seen_table, SeenTable::kBitmap);
+        EXPECT_GT(unhinted.seen_bytes, hinted.seen_bytes)
+            << "the unhinted check started on the compact table";
+      }
+      const std::string where = "accuracy=" + std::to_string(accuracy) +
+                                " threads=" + std::to_string(threads);
+      EXPECT_EQ(unhinted.states, hinted.states) << where;
+      EXPECT_EQ(unhinted.transitions, hinted.transitions) << where;
+      EXPECT_EQ(unhinted.depth, hinted.depth) << where;
+      EXPECT_EQ(unhinted.verdict, hinted.verdict) << where;
+      EXPECT_EQ(unhinted.counterexample, hinted.counterexample) << where;
+      EXPECT_EQ(hinted.verdict,
+                accuracy ? Verdict::kViolation : Verdict::kOk)
+          << where << ": " << hinted.counterexample;
+    }
   }
 }
 
