@@ -154,8 +154,8 @@ int main(int argc, char** argv) {
                 mc::Reduction::kSymmetryPor, 516961, 166464);
   }
   // Spill demonstration: a frontier budget far below the headline space's
-  // working set (its 20-bit frontier peaks near 54 KB); the exploration
-  // must come back identical, out of files.
+  // working set (its 20-bit frontier, 3 bytes a code, peaks at 65,392 B);
+  // the exploration must come back identical, out of files.
   add_reduced(mc::BoxMode::kExclusive, false, true, 2, 4,
               mc::Reduction::kNone, 516961, 516961, /*budget=*/32 * 1024);
   if (!quick) {
@@ -409,11 +409,11 @@ int main(int argc, char** argv) {
   }
 
   std::cout << "\nEngine shape: pair-table index codes (20-24 bits for two "
-               "pairs), bit-packed\nfrontier segments (disk-spillable past a "
-               "budget), a lock-free seen-set that\nis the smallest of a "
-               "bitmap over every code, a compact or a classic hash\ntable "
-               "(chosen per code width and fill; bitmap levels insert "
-               "directly),\n"
+               "pairs), byte-packed\nfrontier segments in one lane per worker "
+               "(disk-spillable past a budget),\na lock-free seen-set that "
+               "is the smallest of a bitmap over every code, a\ncompact or a "
+               "classic hash table (chosen per code width and fill; bitmap\n"
+               "levels insert directly),\n"
                "symmetry/POR reduction levels with identical verdicts, "
                "persistent worker pool\n(std::barrier per BFS level), CSR "
                "reachable graph for analyze hooks; identical\nverdict and "

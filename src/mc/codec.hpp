@@ -2,19 +2,19 @@
 //
 // Every engine-visible state is a packed integral key ("code"). Models that
 // declare how many of the low bits are actually significant (the CompactModel
-// hook `code_bits()`) let the engine store frontiers bit-packed at that exact
-// width and switch the seen-set to a 32-bit-entry compact table or, for narrow
-// codes, a bitmap over every code — bytes/state drops several-fold on the big
-// composed spaces. Models without the hook get the full 8*sizeof(bits) width
-// and behave exactly as before.
+// hook `code_bits()`) let the engine store frontier codes in the whole bytes
+// that width needs and switch the seen-set to a 32-bit-entry compact table
+// or, for narrow codes, a bitmap over every code — bytes/state drops
+// several-fold on the big composed spaces. Models without the hook get the
+// full 8*sizeof(bits) width and behave exactly as before.
 //
 // Two storage primitives live here:
-//  * PackedCodeVector — an append-only vector of fixed-width codes packed
-//    back-to-back into 64-bit words (codes may straddle a word boundary),
-//    followed by one zero pad word so that a read never branches on the
-//    straddle. This is the frontier-segment representation, and the unit
-//    that the spillable frontier writes to / reads back from temp files
-//    (without the pad, which the reader restores).
+//  * PackedCodeVector — an append-only vector of fixed-width codes, each in
+//    ceil(width/8) bytes back-to-back over 64-bit words, followed by one
+//    zero pad word so that a read is one unaligned 8-byte load and a mask.
+//    This is the frontier-segment representation, and the unit that the
+//    spillable frontier writes to / reads back from temp files (without the
+//    pad, which the reader restores).
 //  * DeltaEdgeLog — the per-worker edge log feeding the CSR build for
 //    AnalyzableModel types. Instead of 8B+1B per edge it stores, per
 //    expanded node, a varint out-degree followed by one varint XOR-delta
@@ -22,8 +22,10 @@
 //    in these packed encodings) plus a label byte per edge.
 #pragma once
 
+#include <bit>
 #include <cassert>
 #include <cstdint>
+#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -54,15 +56,18 @@ inline constexpr std::uint64_t code_mask(int bits) {
   return bits >= 64 ? ~0ull : ((1ull << bits) - 1);
 }
 
-/// Append-only fixed-width bit-packed code store. Codes are written LSB-first
-/// back-to-back; a code may straddle two words. One zero pad word always
-/// follows the last word that holds a code, inside the vector's size, so
-/// push_back and read touch a code's word and the next one unconditionally:
-/// two loads and a shift pair instead of a branch on the straddle. Random-
-/// access reads only — no mutation after append — so the word array can be
-/// spilled to disk and re-materialized verbatim.
+/// Append-only fixed-width code store. Each code takes ceil(width/8) bytes,
+/// little-endian, back-to-back; a code may straddle two words. One zero pad
+/// word always follows the last word that holds a code, inside the vector's
+/// size, so push_back is one 8-byte store and read one 8-byte load and a
+/// mask: neither branches on the straddle, and neither leaves the vector.
+/// Random-access reads only — no mutation after append — so the word array
+/// can be spilled to disk and re-materialized verbatim.
 class PackedCodeVector {
  public:
+  static_assert(std::endian::native == std::endian::little,
+                "codes are stored and loaded as little-endian words");
+
   PackedCodeVector() = default;
   explicit PackedCodeVector(int width) : width_(width) {
     assert(width >= 1 && width <= 64);
@@ -70,32 +75,29 @@ class PackedCodeVector {
 
   void push_back(std::uint64_t code) {
     assert(width_ == 64 || (code >> width_) == 0);
-    const std::size_t bit = size_ * static_cast<std::size_t>(width_);
-    const std::size_t word = bit >> 6;
-    const unsigned shift = static_cast<unsigned>(bit & 63);
+    const std::size_t byte = size_ * bytes_per_code(width_);
     ++size_;
     // The vector's own growth: a code that reaches the pad needs a new one.
     if (words_.size() == word_count()) words_.push_back(0);
-    words_[word] |= code << shift;
-    // The bits past the word, or zero (also for shift 0: no shift by 64).
-    words_[word + 1] |= (code >> 1) >> (63 - shift);
+    // The store's bytes past the code are zero, as the pad already was.
+    std::memcpy(reinterpret_cast<char*>(words_.data()) + byte, &code,
+                sizeof code);
   }
 
   std::uint64_t operator[](std::size_t i) const {
     return read(words_.data(), width_, i);
   }
 
-  /// Decode code `i` out of a raw word array packed at `width` bits, which
-  /// must hold the word after code `i`'s first one: the next code's word or
+  /// Decode code `i` out of a raw word array packed at `width`, which
+  /// must hold the 8 bytes from code `i`'s first one: the later codes or
   /// the pad. (Static so spilled segments can be decoded from a scratch
   /// buffer.)
   static std::uint64_t read(const std::uint64_t* words, int width,
                             std::size_t i) {
-    const std::size_t bit = i * static_cast<std::size_t>(width);
-    const std::size_t word = bit >> 6;
-    const unsigned shift = static_cast<unsigned>(bit & 63);
-    const std::uint64_t code =
-        (words[word] >> shift) | ((words[word + 1] << 1) << (63 - shift));
+    const char* const first =
+        reinterpret_cast<const char*>(words) + i * bytes_per_code(width);
+    std::uint64_t code;
+    std::memcpy(&code, first, sizeof code);
     return code & code_mask(width);
   }
 
@@ -110,9 +112,13 @@ class PackedCodeVector {
     return words_.capacity() * sizeof(std::uint64_t);
   }
 
+  /// Bytes one code of `width` bits takes.
+  static std::size_t bytes_per_code(int width) {
+    return static_cast<std::size_t>(width + 7) >> 3;
+  }
   /// Words needed to hold `count` codes of `width` bits.
   static std::size_t words_for(std::size_t count, int width) {
-    return (count * static_cast<std::size_t>(width) + 63) >> 6;
+    return (count * bytes_per_code(width) + 7) >> 3;
   }
 
   void clear() {

@@ -23,10 +23,12 @@
 // bitmap it inserts at once. A property of a state's edges (deadlock,
 // Theorem 1) is the model's to precompute and report from check_state.
 //
-// The frontier itself is a hash-partitioned store of bit-packed code
-// segments (frontier.hpp) that can spill to temp files past
+// The frontier itself is a store of packed code segments, one lane per
+// worker (frontier.hpp), that can spill to temp files past
 // CheckOptions::frontier_budget_bytes and stream back level-by-level, so
-// max_states stops being bound by RAM.
+// max_states stops being bound by RAM. The lanes are read back in worker
+// order and each in the order its codes were found, so one worker expands
+// every level in discovery order.
 //
 // State-space reductions (CheckOptions::reduction; see model.hpp for the
 // soundness contracts):
@@ -52,12 +54,12 @@
 // thread count AT A GIVEN REDUCTION LEVEL. This holds because (a) the set
 // of states at each BFS level is a pure function of the level before it,
 // regardless of which worker wins an insertion race (canonicalization and
-// the POR rule are both pure per-state functions, and frontier sharding /
-// spilling only changes where a level's codes sit, never which codes they
-// are); (b) a level is always expanded to completion before violations are
-// reported; and (c) among the violations found in the first offending
-// level, the one with the smallest packed state key is selected — an
-// order-free criterion.
+// the POR rule are both pure per-state functions, and frontier lanes and
+// spilling only change where a level's codes sit and in which order they
+// are expanded, never which codes they are); (b) a level is always
+// expanded to completion before violations are reported; and (c) among the
+// violations found in the first offending level, the one with the smallest
+// packed state key is selected — an order-free criterion.
 #pragma once
 
 #include <algorithm>
@@ -203,7 +205,10 @@ CheckResult run_check(const M& model, const CheckOptions& options = {}) {
   result.reduction = reduction;
   const bool symmetry = reduction_has_symmetry(reduction);
   const bool por = reduction_has_por(reduction);
-  const auto canon = [&](const S& s) -> S {
+  // `canon` and `code_invalid` hold the check's invariants by value, and
+  // the expand step's sink copies both: read through references to this
+  // frame, which the worker threads share, they were reloaded on every edge.
+  const auto canon = [&model, symmetry, reduction](const S& s) -> S {
     if constexpr (SymmetricModel<M>) {
       if (symmetry) return model.canonical(s, reduction);
     }
@@ -231,13 +236,13 @@ CheckResult run_check(const M& model, const CheckOptions& options = {}) {
   };
 
   const int width = model_code_bits(model);
-  const std::uint64_t width_mask = code_mask(width);
 
   detail::SeenIndex seen(width, options.expected_states);
-  detail::SpillableFrontier frontier(width, options.frontier_budget_bytes);
+  detail::SpillableFrontier frontier(width, options.frontier_budget_bytes,
+                                     workers);
   std::vector<detail::SpillableFrontier::Producer> producers;
   producers.reserve(static_cast<std::size_t>(workers));
-  for (int w = 0; w < workers; ++w) producers.emplace_back(&frontier);
+  for (int w = 0; w < workers; ++w) producers.emplace_back(&frontier, w);
 
   // Instrumentation (all optional; never perturbs the exploration).
   obs::Registry* const metrics = options.metrics;
@@ -285,9 +290,11 @@ CheckResult run_check(const M& model, const CheckOptions& options = {}) {
   // A code is invalid if it sets bits above the model's declared width —
   // which for full-width models is exactly the classic table's reserved
   // all-ones sentinel.
-  const auto code_invalid = [&](std::uint64_t code) {
-    return width < 64 ? (code & ~width_mask) != 0
-                      : code == detail::kReservedKey;
+  const auto code_invalid = [full_width = width >= 64,
+                             over_width = ~code_mask(width)](
+                                std::uint64_t code) {
+    return full_width ? code == detail::kReservedKey
+                      : (code & over_width) != 0;
   };
 
   for (const S& s : model.initial_states()) {
@@ -349,7 +356,11 @@ CheckResult run_check(const M& model, const CheckOptions& options = {}) {
     };
     std::size_t degree = 0;
     bool invalid = false;
-    const auto sink = [&](const S& next, std::uint8_t label) {
+    // The bitmap's words, copied into the sink like `canon` and
+    // `code_invalid`.
+    std::uint64_t* const bitmap_words = kDirect ? bitmap->words() : nullptr;
+    const auto sink = [&, canon, code_invalid, bitmap_words](
+                          const S& next, std::uint8_t label) {
       ++degree;
       const S to = canon(next);
       const auto to_code = static_cast<std::uint64_t>(to.bits);
@@ -359,7 +370,9 @@ CheckResult run_check(const M& model, const CheckOptions& options = {}) {
         return;
       }
       if constexpr (kDirect) {
-        if (bitmap->insert(to_code)) produce.push(to_code);
+        if (detail::BitmapSeenSet::insert(bitmap_words, to_code)) {
+          produce.push(to_code);
+        }
       } else {
         const std::uint64_t hash = detail::mix64(to_code);
         if (out.filter[hash >> kFilterShift] == to_code) {

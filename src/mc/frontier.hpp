@@ -1,24 +1,28 @@
-// Disk-spillable sharded BFS frontier.
+// Disk-spillable BFS frontier, one lane per producer.
 //
 // The engine's frontier used to be one std::vector<S> per level; past a few
 // hundred million states the frontier itself (not the seen-set) becomes the
 // binding memory budget. This container stores the frontier as fixed-size
-// bit-packed code segments spread across a small set of partitions.
-// Each worker appends next-level codes to one open buffer; full buffers are
-// sealed into the partitions round-robin. While the resident
-// sealed bytes stay under CheckOptions::frontier_budget_bytes the segment
-// stays in memory; past the budget it is appended to the partition's temp
-// spill file (created lazily with std::tmpfile, read back with pread, so
-// concurrent worker reads need no locking). Each partition ping-pongs two
-// spill files: one being read (current level) and one being written (next
-// level), swapped at the level barrier, so file space is bounded by the two
-// largest spilled levels rather than the whole run. A segment that cannot
-// be read back whole (a pread error other than EINTR, or end of file) comes
-// back as a View carrying the error, and the engine stops the check with
-// it instead of expanding a partly filled buffer.
+// segments of packed codes (codec.hpp), one lane per producer (the engine
+// has one producer per worker). A producer appends next-level codes to one
+// open buffer and seals each full buffer into its own lane, so no producer
+// touches another's lane and sealing takes no lock; the level barrier
+// orders every seal before begin_level, which joins the lanes in producer
+// order. A one-producer check therefore expands every level in exactly the
+// order its codes were found. While the resident sealed bytes stay under
+// CheckOptions::frontier_budget_bytes a segment stays in memory; past the
+// budget it is appended to the lane's temp spill file (created lazily with
+// std::tmpfile, read back with pread, so concurrent worker reads need no
+// locking). Each lane ping-pongs two spill files: one being read (current
+// level) and one being written (next level), swapped at the level barrier,
+// so file space is bounded by the two largest spilled levels rather than the
+// whole run. A segment that cannot be read back whole (a pread error other
+// than EINTR, or end of file) comes back as a View carrying the error, and
+// the engine stops the check with it instead of expanding a partly filled
+// buffer.
 //
-// Determinism: a BFS level is a SET of codes; which segment a code lands in,
-// whether that segment spills, and which worker streams it back are all
+// Determinism: a BFS level is a SET of codes; which lane a code lands in,
+// whether its segment spills, and which worker streams it back are all
 // irrelevant to the reached set, so the engine's thread-count-independent
 // verdict guarantee survives spilling untouched.
 #pragma once
@@ -28,7 +32,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -72,16 +75,18 @@ inline std::string pread_exact(int fd, void* dst, std::size_t bytes,
 
 class SpillableFrontier {
  public:
-  static constexpr int kPartitions = 8;
   static constexpr std::size_t kSegmentCodes = 4096;
 
-  /// `budget_bytes` == 0 means unlimited (never spill).
-  SpillableFrontier(int width, std::uint64_t budget_bytes)
-      : width_(width), budget_bytes_(budget_bytes) {}
+  /// `lanes` is the number of producers; `budget_bytes` == 0 means
+  /// unlimited (never spill).
+  SpillableFrontier(int width, std::uint64_t budget_bytes, int lanes)
+      : width_(width),
+        budget_bytes_(budget_bytes),
+        lanes_(static_cast<std::size_t>(lanes)) {}
 
   ~SpillableFrontier() {
-    for (Partition& p : partitions_) {
-      for (std::FILE*& f : p.file) {
+    for (Lane& lane : lanes_) {
+      for (std::FILE*& f : lane.file) {
         if (f != nullptr) std::fclose(f);
       }
     }
@@ -90,42 +95,36 @@ class SpillableFrontier {
   SpillableFrontier(const SpillableFrontier&) = delete;
   SpillableFrontier& operator=(const SpillableFrontier&) = delete;
 
-  /// Per-worker append handle: one open buffer, dealt to the partitions
-  /// round-robin a full segment at a time. Which partition holds a code is
-  /// irrelevant to the level's reached set (partitions only spread the seal
-  /// mutexes and spill files), so a single hot buffer on the push path
-  /// beats hash-scattering every push across eight cold ones — the
-  /// per-push partition hash cost ~30% of kNone exploration throughput.
-  class Producer {
+  /// Per-worker append handle: one open buffer, sealed into the producer's
+  /// own lane a full segment at a time. Aligned to a cache line because
+  /// every new state writes the buffer's size: producers kept side by side
+  /// in one vector would otherwise share lines across workers.
+  class alignas(64) Producer {
    public:
-    explicit Producer(SpillableFrontier* frontier)
-        : frontier_(frontier), buf_(frontier->width_) {}
+    Producer(SpillableFrontier* frontier, int lane)
+        : frontier_(frontier), buf_(frontier->width_), lane_(lane) {}
 
     void push(std::uint64_t code) {
       buf_.push_back(code);
-      if (buf_.size() >= kSegmentCodes) seal();
+      if (buf_.size() >= kSegmentCodes) frontier_->seal(lane_, buf_);
     }
 
     /// Seal the open buffer if non-empty; call before the level barrier.
     void flush() {
-      if (!buf_.empty()) seal();
+      if (!buf_.empty()) frontier_->seal(lane_, buf_);
     }
 
    private:
-    void seal() {
-      frontier_->seal(next_partition_, buf_);
-      next_partition_ = (next_partition_ + 1) % kPartitions;
-    }
-
     SpillableFrontier* frontier_;
     PackedCodeVector buf_;
-    int next_partition_ = 0;
+    int lane_;
   };
 
   /// Barrier-time, single-threaded: drop the consumed level, promote the
-  /// sealed next-level segments, and carve them into chunks of (at most)
-  /// `chunk_codes` codes (disk segments stream back whole). Also swaps the
-  /// spill-file roles and rewinds the new write side.
+  /// sealed next-level segments lane by lane, each lane's in seal order,
+  /// and carve them into chunks of (at most) `chunk_codes` codes (disk
+  /// segments stream back whole). Also swaps the spill-file roles and
+  /// rewinds the new write side.
   void begin_level(std::size_t chunk_codes) {
     for (Segment& seg : level_) {
       if (!seg.on_disk) {
@@ -137,10 +136,10 @@ class SpillableFrontier {
     chunks_.clear();
     level_codes_ = 0;
     parity_ ^= 1;
-    for (Partition& p : partitions_) {
-      for (Segment& seg : p.sealed) level_.push_back(std::move(seg));
-      p.sealed.clear();
-      p.write_offset[parity_ ^ 1] = 0;  // the write side for the next level
+    for (Lane& lane : lanes_) {
+      for (Segment& seg : lane.sealed) level_.push_back(std::move(seg));
+      lane.sealed.clear();
+      lane.write_offset[parity_ ^ 1] = 0;  // the write side for the next level
     }
     for (std::size_t s = 0; s < level_.size(); ++s) {
       const Segment& seg = level_[s];
@@ -165,8 +164,8 @@ class SpillableFrontier {
   /// have flushed and no worker may be pushing.
   std::size_t sealed_codes() const {
     std::size_t n = 0;
-    for (const Partition& p : partitions_) {
-      for (const Segment& seg : p.sealed) n += seg.count;
+    for (const Lane& lane : lanes_) {
+      for (const Segment& seg : lane.sealed) n += seg.count;
     }
     return n;
   }
@@ -192,15 +191,15 @@ class SpillableFrontier {
     // The file holds the codes' words; the pad after them is restored here.
     scratch.resize(seg.word_count + 1);
     scratch.back() = 0;
-    const Partition& p = partitions_[static_cast<std::size_t>(seg.partition)];
-    std::string error = pread_exact(::fileno(p.file[seg.file_parity]),
+    const Lane& lane = lanes_[static_cast<std::size_t>(seg.lane)];
+    std::string error = pread_exact(::fileno(lane.file[seg.file_parity]),
                                     scratch.data(),
                                     seg.word_count * sizeof(std::uint64_t),
                                     seg.file_offset);
     if (!error.empty()) {
       return {nullptr, 0, 0,
-              "frontier spill read failed (partition " +
-                  std::to_string(seg.partition) + "): " + error};
+              "frontier spill read failed (lane " +
+                  std::to_string(seg.lane) + "): " + error};
     }
 #endif
     return {scratch.data(), c.begin, c.end, {}};
@@ -219,9 +218,9 @@ class SpillableFrontier {
     std::vector<std::uint64_t> words;  // codes + pad; empty once spilled
     std::size_t count = 0;
     std::size_t word_count = 0;  // without the pad, as accounted and spilled
-    int partition = 0;
+    int lane = 0;
     int file_parity = 0;
-    std::uint64_t file_offset = 0;  // bytes into the partition spill file
+    std::uint64_t file_offset = 0;  // bytes into the lane's spill file
     bool on_disk = false;
   };
 
@@ -230,28 +229,28 @@ class SpillableFrontier {
     std::size_t begin, end;
   };
 
-  struct Partition {
-    std::mutex mutex;
-    std::vector<Segment> sealed;
+  /// One producer's segments and spill files. Only that producer writes
+  /// them during a level; begin_level reads them after the barrier.
+  struct Lane {
+    std::vector<Segment> sealed;  // in seal order
     std::FILE* file[2] = {nullptr, nullptr};
     std::uint64_t write_offset[2] = {0, 0};
   };
 
-  /// Move `buf` into partition `p`'s sealed list, spilling to its write-side
+  /// Append `buf` to lane `l`'s sealed list, spilling to its write-side
   /// temp file if the resident sealed bytes would exceed the budget.
-  void seal(int p, PackedCodeVector& buf) {
+  void seal(int l, PackedCodeVector& buf) {
     Segment seg;
     seg.count = buf.size();
     seg.word_count = buf.word_count();
-    seg.partition = p;
+    seg.lane = l;
     const std::uint64_t seg_bytes = seg.word_count * sizeof(std::uint64_t);
-    Partition& part = partitions_[static_cast<std::size_t>(p)];
-    std::lock_guard<std::mutex> lock(part.mutex);
+    Lane& lane = lanes_[static_cast<std::size_t>(l)];
     const bool over_budget =
         budget_bytes_ != 0 &&
         in_memory_bytes_.load(std::memory_order_relaxed) + seg_bytes >
             budget_bytes_;
-    if (WFD_MC_FRONTIER_CAN_SPILL && over_budget && spill(part, buf, seg)) {
+    if (WFD_MC_FRONTIER_CAN_SPILL && over_budget && spill(lane, buf, seg)) {
       spilled_bytes_.fetch_add(seg_bytes, std::memory_order_relaxed);
     } else {
       seg.words.assign(buf.words(), buf.words() + buf.word_count() + 1);
@@ -263,34 +262,34 @@ class SpillableFrontier {
                                peak, now, std::memory_order_relaxed)) {
       }
     }
-    part.sealed.push_back(std::move(seg));
+    lane.sealed.push_back(std::move(seg));
     buf.clear();
   }
 
-  bool spill(Partition& part, const PackedCodeVector& buf, Segment& seg) {
+  bool spill(Lane& lane, const PackedCodeVector& buf, Segment& seg) {
 #if WFD_MC_FRONTIER_CAN_SPILL
     const int parity = parity_ ^ 1;  // the write side for the NEXT level
-    if (part.file[parity] == nullptr) {
-      part.file[parity] = std::tmpfile();
-      if (part.file[parity] == nullptr) return false;  // keep in memory
+    if (lane.file[parity] == nullptr) {
+      lane.file[parity] = std::tmpfile();
+      if (lane.file[parity] == nullptr) return false;  // keep in memory
     }
     const std::size_t total = buf.word_count() * sizeof(std::uint64_t);
     std::size_t done = 0;
     while (done < total) {
       const ssize_t n = ::pwrite(
-          ::fileno(part.file[parity]),
+          ::fileno(lane.file[parity]),
           reinterpret_cast<const char*>(buf.words()) + done, total - done,
-          static_cast<off_t>(part.write_offset[parity] + done));
+          static_cast<off_t>(lane.write_offset[parity] + done));
       if (n <= 0) return false;
       done += static_cast<std::size_t>(n);
     }
     seg.on_disk = true;
     seg.file_parity = parity;
-    seg.file_offset = part.write_offset[parity];
-    part.write_offset[parity] += total;
+    seg.file_offset = lane.write_offset[parity];
+    lane.write_offset[parity] += total;
     return true;
 #else
-    (void)part;
+    (void)lane;
     (void)buf;
     (void)seg;
     return false;
@@ -300,7 +299,7 @@ class SpillableFrontier {
   int width_;
   std::uint64_t budget_bytes_;
   int parity_ = 0;  // read-side file index for the current level
-  Partition partitions_[kPartitions];
+  std::vector<Lane> lanes_;
   std::vector<Segment> level_;
   std::vector<Chunk> chunks_;
   std::size_t level_codes_ = 0;

@@ -239,7 +239,7 @@ class ReachView {
 ///    uniquely identifies the state (at most 64 bits; the all-ones key
 ///    ~0ull is reserved as the classic seen-set's empty sentinel and
 ///    packing it is reported as a violation). The engine stores only the
-///    packed key (frontiers are bit-packed code vectors) and rebuilds
+///    packed key (frontiers are packed code vectors) and rebuilds
 ///    states by aggregate-initializing from it, so `State{bits}` must
 ///    reproduce the state;
 ///  * `initial_states()` — the exploration roots;

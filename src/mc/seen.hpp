@@ -410,11 +410,17 @@ class BitmapSeenSet {
   /// True iff `code` was not present. Safe to call from any worker thread.
   bool insert(std::uint64_t code) {
     assert((code >> code_bits_) == 0);
-    std::atomic_ref<std::uint64_t> word(storage_.data[code >> 6]);
+    return insert(storage_.data, code);
+  }
+  /// The same insert into a bitmap's words(), for a caller that keeps the
+  /// pointer in a register across many inserts.
+  static bool insert(std::uint64_t* words, std::uint64_t code) {
+    std::atomic_ref<std::uint64_t> word(words[code >> 6]);
     const std::uint64_t bit = std::uint64_t{1} << (code & 63);
     if (word.load(std::memory_order_relaxed) & bit) return false;
     return (word.fetch_or(bit, std::memory_order_relaxed) & bit) == 0;
   }
+  std::uint64_t* words() { return storage_.data; }
 
   /// Every code it can hold.
   std::uint64_t capacity() const { return std::uint64_t{1} << code_bits_; }

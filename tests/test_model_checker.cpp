@@ -1028,12 +1028,17 @@ struct TruncatingTreeModel {
     return std::to_string(st.bits);
   }
 
+  /// The process's open descriptors, not counting the directory stream
+  /// that lists them: its number is free again once this returns, and the
+  /// check's first spill file may take it.
   static std::set<int> open_fds() {
     std::set<int> fds;
     DIR* dir = ::opendir("/proc/self/fd");
     if (dir == nullptr) return fds;
     while (const dirent* entry = ::readdir(dir)) {
-      if (entry->d_name[0] != '.') fds.insert(std::atoi(entry->d_name));
+      if (entry->d_name[0] == '.') continue;
+      const int fd = std::atoi(entry->d_name);
+      if (fd != ::dirfd(dir)) fds.insert(fd);
     }
     ::closedir(dir);
     return fds;
@@ -1060,19 +1065,22 @@ TEST(ParallelEngine, SpillReadFailureStopsTheCheck) {
 
 // --- the compact codec and seen-set, directly -------------------------------
 
-// Widths 20-24 are the two-pair reduction's codes. Besides 1000 codes, each
-// width runs lengths that end exactly on a word boundary (and one code to
-// either side), where the last code's next word is the pad itself. The
-// reads also go through an exact copy of the words plus the pad, as a
-// frontier segment holds them, so a read past the pad leaves the buffer.
+// Widths 20-24 are the two-pair reduction's codes; 8, 16, 32, 56 and 64
+// fill whole bytes. Besides 1000 codes, each width runs lengths that end
+// exactly on a word boundary (and one code to either side), where the last
+// code's 8-byte load reaches into the pad. The reads also go through an
+// exact copy of the words plus the pad, as a frontier segment holds them,
+// so a load past the pad leaves the buffer.
 TEST(Codec, PackedCodeVectorRoundTripsAcrossWordBoundaries) {
-  for (const int width : {1, 7, 20, 22, 24, 26, 52, 63, 64}) {
-    // Codes per whole number of words: 64 / gcd(width, 64).
-    const std::size_t aligned = std::size_t{64} >> std::countr_zero(
-                                    static_cast<unsigned>(width | 64));
+  for (const int width : {1, 7, 8, 16, 20, 22, 24, 26, 32, 52, 56, 63, 64}) {
+    // Codes per whole number of words: 8 / gcd(bytes per code, 8).
+    const std::size_t aligned =
+        std::size_t{8} >>
+        std::countr_zero(static_cast<unsigned>(
+            PackedCodeVector::bytes_per_code(width) | 8));
     for (const std::size_t count :
-         {std::size_t{1000}, aligned, 2 * aligned - 1, 2 * aligned,
-          2 * aligned + 1}) {
+         {std::size_t{1000}, aligned - 1, aligned, aligned + 1,
+          2 * aligned - 1, 2 * aligned, 2 * aligned + 1}) {
       PackedCodeVector vec(width);
       std::vector<std::uint64_t> expect;
       std::uint64_t x = 0x243f6a8885a308d3ull;  // arbitrary nonzero seed
@@ -1095,6 +1103,76 @@ TEST(Codec, PackedCodeVectorRoundTripsAcrossWordBoundaries) {
         EXPECT_EQ(PackedCodeVector::read(exact.data(), width, i), expect[i]);
       }
     }
+  }
+}
+
+// The frontier's order contract: a lane reads back in push order. One
+// producer's codes, across several segments and two levels, come back
+// chunk by chunk exactly as pushed, in memory and with every segment
+// spilled; with three producers, each lane's codes come back contiguous
+// and in push order, lanes in producer order, whatever order they sealed
+// in. (ParallelEngine name = sanitizer coverage.)
+TEST(ParallelEngine, FrontierLanesReadBackInPushOrder) {
+  using detail::SpillableFrontier;
+  constexpr int kWidth = 22;
+  constexpr std::size_t kSegment = SpillableFrontier::kSegmentCodes;
+  const auto code_for = [](std::size_t lane, std::size_t i) {
+    return ((lane + 1) * 0x9e3779b97f4a7c15ull * (i + 1)) >> (64 - kWidth);
+  };
+  const auto read_level = [](SpillableFrontier& frontier) {
+    frontier.begin_level(/*chunk_codes=*/1000);
+    std::vector<std::uint64_t> codes;
+    std::vector<std::uint64_t> scratch;
+    for (std::size_t c = 0; c < frontier.chunk_count(); ++c) {
+      const SpillableFrontier::View view = frontier.resolve(c, scratch);
+      EXPECT_EQ(view.error, "") << "chunk " << c;
+      for (std::size_t i = view.begin; i < view.end; ++i) {
+        codes.push_back(PackedCodeVector::read(view.words, kWidth, i));
+      }
+    }
+    EXPECT_EQ(codes.size(), frontier.level_size());
+    return codes;
+  };
+
+  for (const std::uint64_t budget : {std::uint64_t{0}, std::uint64_t{1}}) {
+    SpillableFrontier frontier(kWidth, budget, /*lanes=*/1);
+    SpillableFrontier::Producer producer(&frontier, 0);
+    // Ten whole segments and a partial one: more segments than the eight
+    // partitions a round-robin layout would deal them to.
+    for (const std::size_t level : {std::size_t{0}, std::size_t{1}}) {
+      std::vector<std::uint64_t> pushed;
+      for (std::size_t i = 0; i < 10 * kSegment + 123; ++i) {
+        pushed.push_back(code_for(level, i));
+        producer.push(pushed.back());
+      }
+      producer.flush();
+      EXPECT_EQ(read_level(frontier), pushed)
+          << "budget=" << budget << " level=" << level;
+    }
+    EXPECT_EQ(frontier.spilled_bytes() > 0, budget != 0);
+  }
+
+  for (const std::uint64_t budget : {std::uint64_t{0}, std::uint64_t{1}}) {
+    SpillableFrontier frontier(kWidth, budget, /*lanes=*/3);
+    std::vector<SpillableFrontier::Producer> producers;
+    for (int lane = 0; lane < 3; ++lane) {
+      producers.emplace_back(&frontier, lane);
+    }
+    const std::size_t counts[3] = {2 * kSegment + 5, kSegment + 1, 3};
+    std::vector<std::uint64_t> expect;
+    for (std::size_t lane = 0; lane < 3; ++lane) {
+      for (std::size_t i = 0; i < counts[lane]; ++i) {
+        expect.push_back(code_for(lane, i));
+      }
+    }
+    // Interleaved pushes, so the lanes' seals interleave too.
+    for (std::size_t i = 0; i < counts[0]; ++i) {
+      for (std::size_t lane = 0; lane < 3; ++lane) {
+        if (i < counts[lane]) producers[lane].push(code_for(lane, i));
+      }
+    }
+    for (int lane = 2; lane >= 0; --lane) producers[lane].flush();
+    EXPECT_EQ(read_level(frontier), expect) << "budget=" << budget;
   }
 }
 
