@@ -21,14 +21,11 @@
 // BENCH_e17.json at the repo root for the recorded baselines). The
 // headline rows are the pairs=2 reductions at 4 threads.
 //
-// Sweep scheduling goes through harness::run_campaign with one JobMeta per
-// configuration; JobMeta::expected_for(symmetry) forwards the reduced
-// state count for symmetry rows (a full-space hint would pre-size a hash
-// seen-set several times past its fill). The reduction model codes a
-// state by pair-table index — 20-24 bits for two pairs, 10-12 for one —
-// so every reduction row here checks into a bitmap seen-set of at most
-// 2 MiB, whatever its hint; each row records which representation its
-// seen-set ended on ("seen_table").
+// Sweep scheduling goes through harness::run_campaign, one job at a time.
+// Every check holds one seen-set, a bitmap over its model's codes: the
+// reduction model codes a state by pair-table index — 20-24 bits for two
+// pairs, 10-12 for one — so a reduction row's bitmap is at most 2 MiB
+// ("seen_bytes"), whatever the row's state count.
 //
 // Usage: bench_e17_mc_throughput [--quick] [--threads N] [--json out.json]
 #include <chrono>
@@ -60,9 +57,18 @@ struct Config {
   std::uint64_t frontier_budget = 0;  // 0 = unlimited (never spill)
 };
 
-struct Row {
+// A configuration and the exact state counts its check must report:
+// `states` for the full space, `stored` for the states kept at the row's
+// reduction level (equal for kNone and kPor — POR preserves the state set;
+// smaller for the symmetry quotients). Pinned by
+// tests/test_model_checker.cpp's closed forms.
+struct Shape {
   Config config;
-  harness::JobMeta meta;
+  std::uint64_t states;
+  std::uint64_t stored;
+};
+
+struct Row : Shape {
   mc::CheckResult result;
   double seconds = 0.0;
 };
@@ -107,16 +113,6 @@ int main(int argc, char** argv) {
                 "Exhaustive-exploration speed of every checker model across "
                 "thread counts, crash configurations and reduction levels.");
 
-  // The exact reachable-state counts (machine-checked in tests and E11)
-  // become per-job seen-set pre-sizing hints: `expected_states` is the full
-  // space, `expected_stored` the states actually stored at the row's
-  // reduction level (equal for kNone and kPor — POR preserves the state
-  // set; smaller for the symmetry quotients).
-  struct Shape {
-    Config config;
-    std::uint64_t expected_states;
-    std::uint64_t expected_stored;
-  };
   std::vector<Shape> shapes;
   const std::vector<int> thread_grid =
       quick ? std::vector<int>{1, 4} : std::vector<int>{1, 2, 4, 8};
@@ -172,39 +168,20 @@ int main(int argc, char** argv) {
     shapes.push_back({{"ablation", {}, false, false, 1, 1}, 64, 64});
   }
 
-  std::vector<Config> configs;
-  std::vector<harness::JobMeta> metas;
-  for (const Shape& shape : shapes) {
-    configs.push_back(shape.config);
-    harness::JobMeta meta;
-    meta.expected_states = shape.expected_states;
-    if (mc::reduction_has_symmetry(shape.config.reduction)) {
-      meta.expected_states_symmetry = shape.expected_stored;
-    }
-    metas.push_back(meta);
-  }
-
   // One campaign job at a time (each job is internally parallel).
   const std::vector<Row> rows = harness::run_campaign(
-      configs, metas,
-      [](const Config& config, const harness::JobMeta& meta) {
+      shapes,
+      [](const Shape& shape) {
+        const Config& config = shape.config;
         const auto start = std::chrono::steady_clock::now();
         const mc::CheckResult result = run_config(
-            config,
-            {.threads = config.threads,
-             .expected_states = meta.expected_for(
-                 mc::reduction_has_symmetry(config.reduction)),
-             .reduction = config.reduction,
-             .frontier_budget_bytes = config.frontier_budget});
-        Row row;
-        row.config = config;
-        row.meta = meta;
-        row.result = result;
-        row.seconds =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          start)
-                .count();
-        return row;
+            config, {.threads = config.threads,
+                     .reduction = config.reduction,
+                     .frontier_budget_bytes = config.frontier_budget});
+        return Row{shape, result,
+                   std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - start)
+                       .count()};
       },
       /*threads=*/1);
 
@@ -239,7 +216,6 @@ int main(int argc, char** argv) {
         .field("depth", r.depth).field("seconds", row.seconds)
         .field("states_per_sec", static_cast<std::uint64_t>(rate))
         .field("seen_bytes", r.seen_bytes)
-        .field("seen_table", mc::seen_table_name(r.seen_table))
         .field("bytes_per_state", bytes_per_state)
         .field("graph_bytes", r.graph_bytes)
         .field("frontier_peak_bytes", r.frontier_peak_bytes)
@@ -247,7 +223,7 @@ int main(int argc, char** argv) {
         .field("verdict", mc::verdict_name(r.verdict));
     if (c.model == "reduction" && r.states > 0) {
       const double factor =
-          static_cast<double>(row.meta.expected_states) / r.states;
+          static_cast<double>(row.states) / r.states;
       json.field("orbit_reduction_factor", factor);
       if (r.reduction == mc::Reduction::kSymmetry) {
         // Acceptance floor baked into the recorded rows: the comparator
@@ -307,8 +283,7 @@ int main(int argc, char** argv) {
     if (row.config.model == "reduction") {
       shape_check.expect(row.result.reduction == row.config.reduction,
                          "requested reduction level actually ran");
-      shape_check.expect(row.result.states == row.meta.expected_for(
-                             mc::reduction_has_symmetry(row.config.reduction)),
+      shape_check.expect(row.result.states == row.stored,
                          "stored states match the recorded closed form for " +
                              std::string(mc::reduction_name(
                                  row.config.reduction)));
@@ -316,7 +291,7 @@ int main(int argc, char** argv) {
     if (row.config.reduction == mc::Reduction::kSymmetry &&
         row.config.pairs == 2) {
       shape_check.expect(
-          row.meta.expected_states >= 3 * row.result.states,
+          row.states >= 3 * row.result.states,
           "symmetry alone stores >= 3x fewer states (acceptance floor)");
     }
     if (row.config.frontier_budget != 0) {
@@ -366,8 +341,7 @@ int main(int argc, char** argv) {
     headline.pairs = 2;
     const auto start = std::chrono::steady_clock::now();
     const mc::CheckResult instrumented = mc::check_reduction(
-        headline, {.threads = 4, .expected_states = 516961,
-                   .metrics = &registry});
+        headline, {.threads = 4, .metrics = &registry});
     const double seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();
@@ -410,12 +384,11 @@ int main(int argc, char** argv) {
 
   std::cout << "\nEngine shape: pair-table index codes (20-24 bits for two "
                "pairs), byte-packed\nfrontier segments in one lane per worker "
-               "(disk-spillable past a budget),\na lock-free seen-set that "
-               "is the smallest of a bitmap over every code, a\ncompact or a "
-               "classic hash table (chosen per code width and fill; bitmap\n"
-               "levels insert directly),\n"
-               "symmetry/POR reduction levels with identical verdicts, "
-               "persistent worker pool\n(std::barrier per BFS level), CSR "
+               "(disk-spillable past a budget),\none lock-free bitmap "
+               "seen-set over every code (each successor inserted as\nit is "
+               "emitted), symmetry/POR reduction levels with identical "
+               "verdicts,\npersistent worker pool (std::barrier per BFS "
+               "level), CSR\n"
                "reachable graph for analyze hooks; identical\nverdict and "
                "state count at every thread count (see BENCH_e17.json for "
                "the\nrecorded pre/post comparisons).\n";

@@ -29,30 +29,6 @@ inline int campaign_threads(int requested, std::size_t jobs) {
   return threads < 1 ? 1 : static_cast<int>(threads);
 }
 
-/// Per-job sizing metadata a sweep can attach to its configurations.
-/// Checker sweeps forward `expected_states` into
-/// mc::CheckOptions::expected_states so each job's seen-set is pre-sized to
-/// its own space (an accurate per-config hint; one global estimate would
-/// oversize small jobs, which measurably hurts cache locality).
-struct JobMeta {
-  /// Reachable states of the FULL (unreduced) space.
-  std::uint64_t expected_states = 0;
-  /// Stored (canonical) states when the checker runs a symmetry-reducing
-  /// exploration; 0 = unknown. A symmetry-reduced job that pre-sizes from
-  /// the full-space count allocates a seen-set several times larger than
-  /// its fill ever reaches — forward expected_for() instead.
-  std::uint64_t expected_states_symmetry = 0;
-
-  /// The pre-size hint appropriate for a run: the symmetry-reduced count
-  /// when the run canonicalizes orbits (and the count is known), the full
-  /// count otherwise.
-  std::uint64_t expected_for(bool symmetry_reduced) const {
-    return symmetry_reduced && expected_states_symmetry != 0
-               ? expected_states_symmetry
-               : expected_states;
-  }
-};
-
 /// Live campaign progress, handed to ProgressOptions::on_progress.
 struct CampaignProgress {
   std::size_t completed = 0;  ///< jobs finished so far
@@ -177,30 +153,6 @@ auto run_campaign(const std::vector<Config>& configs, Fn fn, int threads = 0,
   shutdown.join_all();
   if (first_error) std::rethrow_exception(first_error);
   return results;
-}
-
-/// As above, with one JobMeta per configuration: runs `fn(config, meta)`.
-/// `metas` must be the same length as `configs`.
-template <class Config, class Fn>
-auto run_campaign(const std::vector<Config>& configs,
-                  const std::vector<JobMeta>& metas, Fn fn, int threads = 0)
-    -> std::vector<std::invoke_result_t<Fn&, const Config&, const JobMeta&>> {
-  struct Job {
-    const Config* config;
-    const JobMeta* meta;
-  };
-  std::vector<Job> jobs;
-  jobs.reserve(configs.size());
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    jobs.push_back({&configs[i], i < metas.size() ? &metas[i] : nullptr});
-  }
-  static const JobMeta kNoMeta{};
-  return run_campaign(
-      jobs,
-      [&fn](const Job& job) {
-        return fn(*job.config, job.meta != nullptr ? *job.meta : kNoMeta);
-      },
-      threads);
 }
 
 }  // namespace wfd::harness

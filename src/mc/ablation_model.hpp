@@ -39,7 +39,7 @@ class AblationModel {
   /// Lasso search over the reached graph (see file header).
   std::string analyze(const ReachView<State>& graph) const;
 
-  /// CompactModel: 2+2 thread-state bits plus four flags.
+  /// Model: 2+2 thread-state bits plus four flags.
   int code_bits() const { return 8; }
   /// SymmetricModel, trivially: witness and subject play distinct roles in
   /// the single-instance extraction, so the renaming group is the identity.

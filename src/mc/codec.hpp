@@ -1,12 +1,9 @@
 // Compact state codec for the model-checking engine.
 //
-// Every engine-visible state is a packed integral key ("code"). Models that
-// declare how many of the low bits are actually significant (the CompactModel
-// hook `code_bits()`) let the engine store frontier codes in the whole bytes
-// that width needs and switch the seen-set to a 32-bit-entry compact table
-// or, for narrow codes, a bitmap over every code — bytes/state drops
-// several-fold on the big composed spaces. Models without the hook get the
-// full 8*sizeof(bits) width and behave exactly as before.
+// Every engine-visible state is a packed integral key ("code"), of which a
+// model declares how many low bits are significant (`code_bits()`, see
+// model.hpp). The engine stores frontier codes in the whole bytes that
+// width needs, and its seen-set is a bitmap over every code (seen.hpp).
 //
 // Two storage primitives live here:
 //  * PackedCodeVector — an append-only vector of fixed-width codes, each in
@@ -26,30 +23,9 @@
 #include <cassert>
 #include <cstdint>
 #include <cstring>
-#include <utility>
 #include <vector>
 
 namespace wfd::mc {
-
-/// Models may declare the number of significant low bits of their packed
-/// state key. Must be in [1, 64] and every reachable state's code must fit:
-/// the engine reports a code with higher bits set as a model error.
-template <class M>
-concept CompactModel = requires(const M model) {
-  { model.code_bits() } -> std::convertible_to<int>;
-};
-
-template <class M>
-int model_code_bits(const M& model) {
-  if constexpr (CompactModel<M>) {
-    const int bits = model.code_bits();
-    assert(bits >= 1 && bits <= 64);
-    return bits;
-  } else {
-    return static_cast<int>(
-        8 * sizeof(std::declval<typename M::State>().bits));
-  }
-}
 
 /// All-ones mask of the low `bits` bits (bits in [1, 64]).
 inline constexpr std::uint64_t code_mask(int bits) {

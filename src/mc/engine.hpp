@@ -3,25 +3,17 @@
 // Layer-synchronous BFS: all states at distance d are expanded (in parallel
 // chunks, by a persistent pool of worker threads synchronized with a
 // std::barrier) before any state at distance d+1. Deduplication goes through
-// a lock-free seen-set keyed by the model's packed state code — the classic
-// 64-bit open-addressing table or, for models that declare `code_bits()`,
-// the bucketized 32-bit compact table or a bitmap over every code
-// (seen.hpp), whichever is smallest at the current fill. The set is grown
-// stop-the-world at the level barrier — the only quiescent point, which is
-// also what makes the resize (and a switch to a smaller representation)
-// safe without hazard pointers: no worker holds a slot reference across a
-// barrier. CheckOptions::expected_states only pre-sizes it; without the
-// hint the set still ends in the smallest representation, reached by
-// growth.
+// one lock-free bitmap over every code of the model's declared width
+// (seen.hpp): it is allocated once, before the first state, and never
+// grows, so no worker ever waits on it. A width outside [1, kMaxCodeBits],
+// or a state code that sets a bit above the width, stops the check with a
+// `model error:` verdict.
 //
 // Expansion builds no edge list: the model's `successors` (a member
 // template) calls the engine's sink once per edge, and the sink
-// canonicalizes, validates and inserts the successor there and then.
-// Because the seen-set representation only changes at the barrier, the
-// sink is chosen once per level: on a hash table it hashes, filters and
-// prefetches each successor and the insert follows a state later; on the
-// bitmap it inserts at once. A property of a state's edges (deadlock,
-// Theorem 1) is the model's to precompute and report from check_state.
+// canonicalizes, validates and inserts the successor into the bitmap there
+// and then. A property of a state's edges (deadlock, Theorem 1) is the
+// model's to precompute and report from check_state.
 //
 // The frontier itself is a store of packed code segments, one lane per
 // worker (frontier.hpp), that can spill to temp files past
@@ -73,7 +65,6 @@
 #include <new>
 #include <string>
 #include <thread>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -103,30 +94,9 @@ S decode_state(std::uint64_t code) {
 /// scratch vectors keep their capacity, so steady-state expansion does not
 /// allocate).
 struct Worker {
-  /// One prefetched-but-not-yet-inserted successor code (see the pipeline
-  /// note in run_check's expand step).
-  struct PendingEdge {
-    std::uint64_t hash;  // mix64(code)
-    std::uint64_t code;
-  };
-
-  /// Direct-mapped duplicate filter: caches codes this worker has proven
-  /// present in the shared seen-set, so repeat successors (BFS frontiers
-  /// revisit neighbours constantly) skip the DRAM-sized table entirely.
-  /// Only ever an optimization — a hit means "certainly already seen", a
-  /// miss or collision just falls through to the real probe — so verdicts
-  /// and state counts are unaffected.
-  static constexpr std::size_t kFilterBits = 15;
-  static constexpr std::size_t kFilterMask = (std::size_t{1} << kFilterBits) - 1;
-
-  std::vector<PendingEdge> batch;           // current state's hashed edges
-  std::vector<PendingEdge> pending;         // previous state's insert lag
   std::vector<std::uint64_t> scratch;       // spilled-segment read buffer
   std::vector<std::pair<std::uint64_t, std::uint8_t>> edge_codes;
-  std::vector<std::uint64_t> filter =
-      std::vector<std::uint64_t>(kFilterMask + 1, kReservedKey);
   std::uint64_t transitions = 0;
-  std::size_t max_degree = 0;
   bool has_violation = false;
   std::uint64_t violation_key = 0;
   std::string violation;
@@ -235,9 +205,24 @@ CheckResult run_check(const M& model, const CheckOptions& options = {}) {
     model.successors(st, emit);
   };
 
-  const int width = model_code_bits(model);
+  const auto elapsed_ms = [&start] {
+    return std::chrono::duration<double, std::milli>(Clock::now() - start)
+        .count();
+  };
 
-  detail::SeenIndex seen(width, options.expected_states);
+  // Checked before anything is sized from it: the seen-set alone takes
+  // 2^width bits.
+  const int width = model.code_bits();
+  if (width < 1 || width > kMaxCodeBits) {
+    result.verdict = Verdict::kViolation;
+    result.counterexample = "model error: code_bits() is " +
+                            std::to_string(width) + ", outside [1, " +
+                            std::to_string(kMaxCodeBits) + "]";
+    result.wall_ms = elapsed_ms();
+    return result;
+  }
+
+  detail::BitmapSeenSet seen(width);
   detail::SpillableFrontier frontier(width, options.frontier_budget_bytes,
                                      workers);
   std::vector<detail::SpillableFrontier::Producer> producers;
@@ -265,16 +250,14 @@ CheckResult run_check(const M& model, const CheckOptions& options = {}) {
   // The one exit epilogue: EVERY return path seals the result through this,
   // so wall_ms / seen_bytes / graph_bytes / frontier stats are populated
   // consistently no matter how the exploration ended (clean cover,
-  // violation, budget, or a model-error early out).
+  // violation, budget, or a model-error early out; only a refused width
+  // returns before there is a seen-set to report).
   const auto seal = [&](std::uint64_t graph_bytes) {
-    result.seen_bytes = seen.peak_bytes();
-    result.seen_table = seen.kind();
+    result.seen_bytes = seen.bytes();
     result.graph_bytes = graph_bytes;
     result.frontier_peak_bytes = frontier.peak_bytes();
     result.spilled_bytes = frontier.spilled_bytes();
-    result.wall_ms =
-        std::chrono::duration<double, std::milli>(Clock::now() - start)
-            .count();
+    result.wall_ms = elapsed_ms();
     if (metrics != nullptr) {
       metrics->set_gauge(
           g_seen_load,
@@ -287,14 +270,11 @@ CheckResult run_check(const M& model, const CheckOptions& options = {}) {
     }
   };
 
-  // A code is invalid if it sets bits above the model's declared width —
-  // which for full-width models is exactly the classic table's reserved
-  // all-ones sentinel.
-  const auto code_invalid = [full_width = width >= 64,
-                             over_width = ~code_mask(width)](
+  // A code is invalid if it sets bits above the model's declared width:
+  // it has no bit in the seen-set.
+  const auto code_invalid = [over_width = ~code_mask(width)](
                                 std::uint64_t code) {
-    return full_width ? code == detail::kReservedKey
-                      : (code & over_width) != 0;
+    return (code & over_width) != 0;
   };
 
   for (const S& s : model.initial_states()) {
@@ -303,11 +283,8 @@ CheckResult run_check(const M& model, const CheckOptions& options = {}) {
     if (code_invalid(code)) {
       result.verdict = Verdict::kViolation;
       result.counterexample =
-          width < 64
-              ? "model error: initial state code exceeds the declared "
-                "code_bits width"
-              : "model error: initial state packs the reserved seen-set "
-                "sentinel key ~0";
+          "model error: initial state code exceeds the declared code_bits "
+          "width";
       seal(0);
       return result;
     }
@@ -325,69 +302,27 @@ CheckResult run_check(const M& model, const CheckOptions& options = {}) {
   // is exercised — and TSan-checkable — even on tiny models.
   constexpr std::size_t kMinChunk = 16;
 
-  // The seen-set's bitmap on levels where it is the live representation
-  // (written by the main thread at the barrier, like the table itself).
-  detail::BitmapSeenSet* bitmap = nullptr;
-
-  // `direct` (std::true_type on bitmap levels) picks the insert path at
-  // compile time. The model emits each successor straight into `sink`,
-  // which canonicalizes, validates and inserts it; no edge list is built.
-  // A bitmap insert is one bit test with no hash to compute and no probe to
-  // miss on, so there the sink inserts at once: no mix64, duplicate filter,
-  // insert lag or prefetch.
+  // The model emits each successor straight into `sink`, which
+  // canonicalizes, validates and inserts it; no edge list is built.
   auto expand = [&](detail::Worker& out,
-                    detail::SpillableFrontier::Producer& produce,
-                    auto direct) {
-    constexpr bool kDirect = decltype(direct)::value;
-    constexpr std::size_t kFilterShift = 64 - detail::Worker::kFilterBits;
-    // On a hash table, inserts run one state behind their prefetches: a
-    // state's edges are hashed and prefetched while the PREVIOUS state's
-    // batch (whose cache lines have had a whole state's worth of successor
-    // generation to arrive) is inserted. Insertion order within a level is
-    // irrelevant — the level's reached set is what matters — so the lag is
-    // free.
-    const auto flush = [&] {
-      for (const auto& p : out.pending) {
-        if (seen.insert(p.code, p.hash)) produce.push(p.code);
-        // Either way the code is now certainly in the table.
-        out.filter[p.hash >> kFilterShift] = p.code;
-      }
-      out.pending.clear();
-    };
+                    detail::SpillableFrontier::Producer& produce) {
     std::size_t degree = 0;
     bool invalid = false;
     // The bitmap's words, copied into the sink like `canon` and
     // `code_invalid`.
-    std::uint64_t* const bitmap_words = kDirect ? bitmap->words() : nullptr;
-    const auto sink = [&, canon, code_invalid, bitmap_words](
-                          const S& next, std::uint8_t label) {
+    std::uint64_t* const words = seen.words();
+    const auto sink = [&, canon, code_invalid, words](const S& next,
+                                                      std::uint8_t label) {
       ++degree;
       const S to = canon(next);
       const auto to_code = static_cast<std::uint64_t>(to.bits);
       if constexpr (kCollectGraph) out.edge_codes.push_back({to_code, label});
       if (code_invalid(to_code)) {
-        invalid = true;  // it has no slot or bit; the level reports it
+        invalid = true;  // it has no bit; the level reports it
         return;
       }
-      if constexpr (kDirect) {
-        if (detail::BitmapSeenSet::insert(bitmap_words, to_code)) {
-          produce.push(to_code);
-        }
-      } else {
-        const std::uint64_t hash = detail::mix64(to_code);
-        if (out.filter[hash >> kFilterShift] == to_code) {
-          return;  // duplicate of a code already in the table
-        }
-        out.batch.push_back({hash, to_code});
-        // Issued here, not from a seen-set method: GCC marks a void
-        // function whose only statement is __builtin_prefetch as pure and
-        // drops every call to it, so a wrapped prefetch never reaches the
-        // machine code (the mc_prefetch_codegen ctest guards this).
-        __builtin_prefetch(seen.home(to_code, hash), 1, 3);
-      }
+      if (detail::BitmapSeenSet::insert(words, to_code)) produce.push(to_code);
     };
-    out.batch.clear();
-    out.pending.clear();
     for (std::size_t ci = cursor.fetch_add(1); ci < frontier.chunk_count();
          ci = cursor.fetch_add(1)) {
       const detail::SpillableFrontier::View view =
@@ -416,42 +351,23 @@ CheckResult run_check(const M& model, const CheckOptions& options = {}) {
         if constexpr (kCollectGraph) out.edge_codes.clear();
         generate(st, sink, degree);
         out.transitions += degree;
-        out.max_degree = std::max(out.max_degree, degree);
         if (invalid) {
           invalid = false;
-          out.batch.clear();
-          note(width < 64
-                   ? "model error: successor code exceeds the declared "
-                     "code_bits width | from " +
-                         model.describe(st)
-                   : "model error: successor packs the reserved seen-set "
-                     "sentinel key ~0 | from " +
-                         model.describe(st));
+          note("model error: successor code exceeds the declared code_bits "
+               "width | from " +
+               model.describe(st));
           continue;
-        }
-        if constexpr (!kDirect) {
-          flush();  // previous state's batch, prefetched a full state ago
-          std::swap(out.batch, out.pending);
         }
         if constexpr (kCollectGraph) out.log.append(key, out.edge_codes);
       }
     }
-    flush();  // drain the last state's lagged batch...
-    produce.flush();  // ...and seal this worker's partial frontier segments
-  };
-  const auto expand_level = [&](detail::Worker& out,
-                                detail::SpillableFrontier::Producer& produce) {
-    if (bitmap != nullptr) {
-      expand(out, produce, std::true_type{});
-    } else {
-      expand(out, produce, std::false_type{});
-    }
+    produce.flush();  // seal this worker's partial frontier segments
   };
 
   // Persistent worker pool: one std::barrier phase releases the workers
   // into a level, the next phase closes it; between the closing phase and
   // the next opening one every worker is parked, so the main thread may
-  // freely resize the seen-set and rebuild the frontier's chunk list.
+  // freely rebuild the frontier's chunk list.
   std::barrier barrier(workers);
   std::vector<std::thread> pool;
   pool.reserve(static_cast<std::size_t>(workers) - 1);
@@ -465,8 +381,8 @@ CheckResult run_check(const M& model, const CheckOptions& options = {}) {
       for (;;) {
         barrier.arrive_and_wait();  // level opens (or stop)
         if (stop) return;
-        expand_level(outs[static_cast<std::size_t>(w)],
-                     producers[static_cast<std::size_t>(w)]);
+        expand(outs[static_cast<std::size_t>(w)],
+               producers[static_cast<std::size_t>(w)]);
         if (wscope != nullptr) {
           const auto parked = Clock::now();
           barrier.arrive_and_wait();  // level closes
@@ -484,7 +400,6 @@ CheckResult run_check(const M& model, const CheckOptions& options = {}) {
   }
 
   bool stopped = false;
-  std::size_t max_degree_seen = 8;  // conservative floor for projections
   for (;;) {
     const std::size_t level_size = frontier.sealed_codes();
     if (level_size == 0) break;
@@ -496,17 +411,6 @@ CheckResult run_check(const M& model, const CheckOptions& options = {}) {
       break;
     }
 
-    // Guarantee headroom for the whole level before any worker probes: a
-    // level inserts at most level * max-out-degree new keys (projected from
-    // the largest degree observed so far — models whose degree explodes
-    // faster than the tables' headroom between adjacent levels would need a
-    // mid-level resize, which the design deliberately excludes), so
-    // growing here (the quiescent point) keeps the mid-level table fixed.
-    // The fill is exact at the barrier: every state ever inserted is either
-    // already expanded (result.states) or in the current frontier.
-    seen.reserve_level(result.states + level_size,
-                       level_size * max_degree_seen);
-    bitmap = seen.bitmap();
     frontier.begin_level(std::clamp<std::size_t>(
         level_size / (static_cast<std::size_t>(workers) * 8), kMinChunk,
         2048));
@@ -514,7 +418,7 @@ CheckResult run_check(const M& model, const CheckOptions& options = {}) {
 
     const auto level_start = Clock::now();
     barrier.arrive_and_wait();  // open the level
-    expand_level(outs[0], producers[0]);
+    expand(outs[0], producers[0]);
     if (mscope != nullptr) {
       const auto parked = Clock::now();
       barrier.arrive_and_wait();  // close it: every worker is parked again
@@ -535,7 +439,6 @@ CheckResult run_check(const M& model, const CheckOptions& options = {}) {
       level_transitions += out.transitions;
       result.transitions += out.transitions;
       out.transitions = 0;
-      max_degree_seen = std::max(max_degree_seen, out.max_degree);
       if (out.has_violation &&
           (worst == nullptr || out.violation_key < worst->violation_key)) {
         worst = &out;

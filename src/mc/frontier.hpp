@@ -43,7 +43,6 @@
 #endif
 
 #include "mc/codec.hpp"
-#include "mc/seen.hpp"
 
 namespace wfd::mc {
 namespace detail {

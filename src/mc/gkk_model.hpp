@@ -50,7 +50,7 @@ class GkkModel {
   /// Lasso search over the reached graph (see file header).
   std::string analyze(const ReachView<State>& graph) const;
 
-  /// CompactModel: six boolean flags (see gkk_model.cpp's enum).
+  /// Model: six boolean flags (see gkk_model.cpp's enum).
   int code_bits() const { return 6; }
   /// SymmetricModel, trivially: the two processes play asymmetric roles
   /// (q is the never-exiting subject, w the suspecting witness), so the

@@ -1,7 +1,8 @@
 // The unified model-checking API. A "model" is anything the explicit-state
-// engine (engine.hpp) can explore: a packed, trivially copyable state type,
-// a set of initial states, a successor generator that hands each edge to a
-// caller-supplied sink, and a per-state invariant hook. The three checkers
+// engine (engine.hpp) can explore: a packed, trivially copyable state type
+// and the width of its codes, a set of initial states, a successor
+// generator that hands each edge to a caller-supplied sink, and a
+// per-state invariant hook. The three checkers
 // in this directory — the Alg. 1/2 reduction, the GKK counterexample, and
 // the E9 single-instance ablation — all implement this concept, and every
 // test and bench drives them exclusively through mc::run_check /
@@ -81,20 +82,10 @@ inline bool reduction_has_por(Reduction r) {
   return r == Reduction::kPor || r == Reduction::kSymmetryPor;
 }
 
-/// The seen-set representation a check ended on (seen.hpp): the classic
-/// 64-bit hash table, the compact 32-bit one, or the bitmap over every
-/// code. The engine picks it from the model's code width and the fill
-/// alone, so it is a fact about the run, not a knob.
-enum class SeenTable : std::uint8_t { kClassic, kCompact, kBitmap };
-
-inline const char* seen_table_name(SeenTable table) {
-  switch (table) {
-    case SeenTable::kClassic: return "classic";
-    case SeenTable::kCompact: return "compact";
-    case SeenTable::kBitmap: return "bitmap";
-  }
-  return "?";
-}
+/// The widest state code a model may declare: the engine's seen-set is a
+/// bitmap over every code (seen.hpp), so 32 bits already reserves 512 MiB
+/// of lazily mapped address space; the widest model here uses 24.
+inline constexpr int kMaxCodeBits = 32;
 
 /// Engine knobs, shared by every model.
 struct CheckOptions {
@@ -102,15 +93,6 @@ struct CheckOptions {
   int threads = 0;
   /// Abort (verdict = kBudgetExceeded) past this count.
   std::uint64_t max_states = 50'000'000;
-  /// Pre-size hint for the seen-set (reachable-state estimate), never a
-  /// requirement. 0 = unknown: the set starts small and grows at level
-  /// barriers, switching to the compact table and then to the bitmap over
-  /// every code as each becomes the smallest, so an unhinted run ends in
-  /// the representation a hinted run starts with. Narrow codes need no
-  /// hint at all (a 20-bit bitmap is 128 KiB from the start). Sweep
-  /// runners forward this from campaign metadata so big runs skip the
-  /// rebuilds.
-  std::uint64_t expected_states = 0;
   /// Optional metrics registry: the engine registers mc.states /
   /// mc.transitions / mc.levels counters, an mc.level_states_per_sec and a
   /// per-worker mc.barrier_wait_us histogram, and an mc.seen_load_pct gauge.
@@ -139,9 +121,8 @@ struct CheckResult {
   std::string counterexample;     ///< violation / witness cycle, readable
   double wall_ms = 0.0;           ///< exploration wall time
   int threads = 1;                ///< worker threads actually used
-  std::uint64_t seen_bytes = 0;   ///< peak seen-set footprint (a rebuild
-                                  ///< counts the old and new table)
-  SeenTable seen_table = SeenTable::kClassic;  ///< representation at the end
+  std::uint64_t seen_bytes = 0;   ///< seen-set footprint: the bitmap's
+                                  ///< 2^code_bits / 8 bytes
   std::uint64_t graph_bytes = 0;  ///< CSR reachable-graph footprint (0 if
                                   ///< the model has no analyze hook)
   Reduction reduction = Reduction::kNone;  ///< reduction level actually run
@@ -236,12 +217,14 @@ class ReachView {
 
 /// What the engine requires of a model:
 ///  * `State` — trivially copyable, with a packed integral `bits` key that
-///    uniquely identifies the state (at most 64 bits; the all-ones key
-///    ~0ull is reserved as the classic seen-set's empty sentinel and
-///    packing it is reported as a violation). The engine stores only the
-///    packed key (frontiers are packed code vectors) and rebuilds
-///    states by aggregate-initializing from it, so `State{bits}` must
-///    reproduce the state;
+///    uniquely identifies the state. The engine stores only the packed key
+///    (frontiers are packed code vectors, the seen-set a bitmap over every
+///    key) and rebuilds states by aggregate-initializing from it, so
+///    `State{bits}` must reproduce the state;
+///  * `code_bits()` — how many low bits of the key are significant, in
+///    [1, kMaxCodeBits]. It sizes the seen-set (2^code_bits bits) and the
+///    frontier's codes; run_check refuses a width outside that range, and a
+///    state whose key sets a higher bit, with a `model error:` verdict;
 ///  * `initial_states()` — the exploration roots;
 ///  * `successors(s, emit)` — a member template over the sink: call
 ///    emit(to, label) once per enabled transition from `s`. The engine's
@@ -259,6 +242,7 @@ concept Model =
              const detail::EmitArchetype<typename M::State> emit) {
       { static_cast<std::uint64_t>(state.bits) };
       { typename M::State{state.bits} } -> std::same_as<typename M::State>;
+      { model.code_bits() } -> std::convertible_to<int>;
       { model.initial_states() } -> std::same_as<std::vector<typename M::State>>;
       { model.successors(state, emit) } -> std::same_as<void>;
       { model.check_state(state) } -> std::same_as<std::string>;

@@ -483,7 +483,6 @@ std::string ReductionModel::describe(const State& state) const {
 }
 
 static_assert(Model<ReductionModel>);
-static_assert(CompactModel<ReductionModel>);
 static_assert(SymmetricModel<ReductionModel>);
 static_assert(PorModel<ReductionModel>);
 

@@ -195,7 +195,7 @@ class ReductionModel {
   }
   std::string describe(const State& state) const;
 
-  /// CompactModel: significant low bits of the packed key (one table index
+  /// Model: significant low bits of the packed key (one table index
   /// per pair: 20-24 bits for two pairs).
   int code_bits() const;
 

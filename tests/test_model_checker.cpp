@@ -22,7 +22,6 @@
 #include <utility>
 #include <vector>
 
-#include "harness/campaign.hpp"
 #include "mc/ablation_model.hpp"
 #include "mc/engine.hpp"
 #include "mc/gkk_model.hpp"
@@ -187,6 +186,9 @@ struct GridModel {
   };
   std::uint64_t side = 64;
 
+  int code_bits() const {
+    return static_cast<int>(std::bit_width(side * side - 1));  // 12 at 64
+  }
   std::vector<State> initial_states() const { return {State{0}}; }
 
   template <class Emit>
@@ -235,55 +237,24 @@ TEST(ParallelEngine, BudgetStopIsDeterministicToo) {
   }
 }
 
-// Exercises the lock-free seen-set directly: every thread races to insert
-// an overlapping key range, and exactly one insertion per distinct key may
-// succeed. Named under ParallelEngine so the TSan-instrumented test binary
-// picks it up (tests/CMakeLists.txt runs --gtest_filter=ParallelEngine.*).
-TEST(ParallelEngine, LockFreeSeenSetConcurrentInsert) {
-  constexpr std::uint64_t kKeys = 200000;
-  constexpr int kThreads = 8;
-  detail::SeenSet seen(kKeys);
-  std::atomic<std::uint64_t> inserted{0};
-  std::vector<std::thread> pool;
-  pool.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    pool.emplace_back([&seen, &inserted, t] {
-      std::uint64_t mine = 0;
-      // Each thread walks the full key range from a different offset, so
-      // every key is contended by all threads.
-      for (std::uint64_t i = 0; i < kKeys; ++i) {
-        const std::uint64_t key =
-            (i + static_cast<std::uint64_t>(t) * (kKeys / kThreads)) % kKeys;
-        if (seen.insert(key)) ++mine;
-      }
-      inserted.fetch_add(mine);
-    });
-  }
-  for (std::thread& t : pool) t.join();
-  EXPECT_EQ(inserted.load(), kKeys);
-  // Re-inserting any key now fails.
-  for (std::uint64_t key = 0; key < kKeys; key += 997) {
-    EXPECT_FALSE(seen.insert(key)) << key;
-  }
-}
-
-// A model that (wrongly) packs a state equal to the seen-set's reserved
-// empty-slot sentinel (~0). The engine must refuse it with a deterministic
-// violation instead of silently conflating it with "not seen yet".
-struct SentinelModel {
+// A model that (wrongly) reaches a code wider than its declared 2 bits:
+// s0 -> s1 -> s2 -> s3 -> code 4, or starts at code 4. The code has no bit
+// in the seen-set, so the engine must stop with a model error that names
+// the offending predecessor instead of inserting it.
+struct OverWidthModel {
   struct State {
     std::uint64_t bits = 0;
   };
-  bool sentinel_initial = false;
+  bool over_width_initial = false;
+  int width = 2;
 
+  int code_bits() const { return width; }
   std::vector<State> initial_states() const {
-    if (sentinel_initial) return {State{~0ull}};
-    return {State{0}};
+    return {State{over_width_initial ? 4u : 0u}};
   }
   template <class Emit>
   void successors(const State& st, Emit&& emit) const {
-    if (st.bits < 3) emit(State{st.bits + 1}, kLabelNone);
-    if (st.bits == 3) emit(State{~0ull}, kLabelNone);
+    if (st.bits <= 3) emit(State{st.bits + 1}, kLabelNone);
   }
   std::string check_state(const State&) const { return {}; }
   std::string describe(const State& st) const {
@@ -291,26 +262,49 @@ struct SentinelModel {
   }
 };
 
-static_assert(Model<SentinelModel>);
+static_assert(Model<OverWidthModel>);
 
-TEST(ParallelEngine, ReservedSentinelKeyIsRejectedNotConflated) {
+TEST(ParallelEngine, OverWidthSuccessorIsRejected) {
   for (const int threads : {1, 4}) {
-    const CheckResult result = run_check(SentinelModel{}, {.threads = threads});
+    const CheckResult result =
+        run_check(OverWidthModel{}, {.threads = threads});
     EXPECT_EQ(result.verdict, Verdict::kViolation) << "threads=" << threads;
-    EXPECT_NE(result.counterexample.find("sentinel"), std::string::npos)
-        << result.counterexample;
-    EXPECT_NE(result.counterexample.find("s3"), std::string::npos)
-        << "the offending predecessor must be named: "
-        << result.counterexample;
+    EXPECT_EQ(result.counterexample,
+              "model error: successor code exceeds the declared code_bits "
+              "width | from s3")
+        << "threads=" << threads;
+    EXPECT_EQ(result.states, 4u) << "s0..s3 were expanded";
   }
 }
 
-TEST(ParallelEngine, ReservedSentinelInitialStateIsRejected) {
-  const CheckResult result =
-      run_check(SentinelModel{.sentinel_initial = true}, {});
-  EXPECT_EQ(result.verdict, Verdict::kViolation);
-  EXPECT_NE(result.counterexample.find("sentinel"), std::string::npos)
-      << result.counterexample;
+TEST(ParallelEngine, OverWidthInitialStateIsRejected) {
+  for (const int threads : {1, 4}) {
+    const CheckResult result = run_check(
+        OverWidthModel{.over_width_initial = true}, {.threads = threads});
+    EXPECT_EQ(result.verdict, Verdict::kViolation) << "threads=" << threads;
+    EXPECT_EQ(result.counterexample,
+              "model error: initial state code exceeds the declared "
+              "code_bits width");
+    EXPECT_EQ(result.states, 0u);
+  }
+}
+
+// A declared width outside [1, kMaxCodeBits] is refused before anything is
+// sized from it (the seen-set alone would take 2^width bits), in every
+// build type: these run with NDEBUG too.
+TEST(ParallelEngine, CodeBitsOutsideTheRangeAreRefused) {
+  for (const int width : {0, kMaxCodeBits + 1}) {
+    const CheckResult result =
+        run_check(OverWidthModel{.width = width}, {.threads = 2});
+    EXPECT_EQ(result.verdict, Verdict::kViolation) << "width=" << width;
+    EXPECT_EQ(result.counterexample,
+              "model error: code_bits() is " + std::to_string(width) +
+                  ", outside [1, " + std::to_string(kMaxCodeBits) + "]");
+    EXPECT_EQ(result.states, 0u);
+    EXPECT_EQ(result.seen_bytes, 0u) << "no seen-set was allocated";
+  }
+  // Declared wide enough for code 4, the same model explores s0..s4.
+  EXPECT_TRUE(run_check(OverWidthModel{.width = 3}, {.threads = 1}).ok());
 }
 
 // --- oversubscription: more workers than the hardware has ------------------
@@ -1004,6 +998,7 @@ struct TruncatingTreeModel {
   std::set<int> fds_before;
   mutable bool truncated = false;
 
+  int code_bits() const { return 15; }  // the last leaf is 2^15 - 2
   std::vector<State> initial_states() const { return {State{0}}; }
   template <class Emit>
   void successors(const State& st, Emit&& emit) const {
@@ -1063,7 +1058,7 @@ TEST(ParallelEngine, SpillReadFailureStopsTheCheck) {
 }
 #endif
 
-// --- the compact codec and seen-set, directly -------------------------------
+// --- the codec and seen-set, directly ---------------------------------------
 
 // Widths 20-24 are the two-pair reduction's codes; 8, 16, 32, 56 and 64
 // fill whole bytes. Besides 1000 codes, each width runs lengths that end
@@ -1199,125 +1194,10 @@ TEST(Codec, DeltaEdgeLogRoundTripsEdges) {
   }
 }
 
-// The compact table's insert is a CAS race like the classic table's; same
-// contract: exactly one success per distinct code. (ParallelEngine name =
-// TSan coverage.)
-TEST(ParallelEngine, CompactSeenSetConcurrentInsert) {
-  constexpr std::uint64_t kKeys = 200000;
-  constexpr int kThreads = 8;
-  detail::CompactSeenSet seen(/*code_bits=*/24, kKeys);
-  std::atomic<std::uint64_t> inserted{0};
-  std::vector<std::thread> pool;
-  pool.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    pool.emplace_back([&seen, &inserted, t] {
-      std::uint64_t mine = 0;
-      for (std::uint64_t i = 0; i < kKeys; ++i) {
-        const std::uint64_t code =
-            (i + static_cast<std::uint64_t>(t) * (kKeys / kThreads)) % kKeys;
-        if (seen.insert(code)) ++mine;
-      }
-      inserted.fetch_add(mine);
-    });
-  }
-  for (std::thread& t : pool) t.join();
-  EXPECT_EQ(inserted.load(), kKeys);
-  for (std::uint64_t code = 0; code < kKeys; code += 997) {
-    EXPECT_FALSE(seen.insert(code)) << code;
-  }
-}
-
-TEST(ParallelEngine, CompactSeenSetGrowthPreservesMembership) {
-  // Start at the minimum table and grow through several rebuilds; growth
-  // inverts the stored hashes back into codes, so membership must survive.
-  detail::CompactSeenSet seen(/*code_bits=*/26, /*expected=*/0);
-  constexpr std::uint64_t kKeys = 150000;
-  for (std::uint64_t code = 0; code < kKeys; ++code) {
-    EXPECT_TRUE(seen.insert(code * 37 % (1u << 26) | 1));
-    if (code % 40000 == 39999) seen.reserve_level(code + 1, 50000);
-  }
-  seen.reserve_level(kKeys, kKeys);
-  for (std::uint64_t code = 0; code < kKeys; code += 13) {
-    EXPECT_FALSE(seen.insert(code * 37 % (1u << 26) | 1)) << code;
-  }
-}
-
-TEST(ParallelEngine, SeenIndexPicksTheSmallerTable) {
-  // 26-bit codes with an honest hint: the 4-byte-entry table wins.
-  EXPECT_EQ(detail::SeenIndex(26, 516961).kind(), SeenTable::kCompact);
-  // 52-bit codes need >= 2^24 compact slots (remainder must fit 31 bits);
-  // without a size hint the classic table is smaller at construction, with
-  // the real 8.3M hint the compact one is (64MB vs 268MB). The unhinted
-  // table re-applies the same rule at every growth, so it turns compact
-  // before it would outgrow 64MB (SeenIndexTurnsCompactAtGrowth).
-  EXPECT_EQ(detail::SeenIndex(52, 0).kind(), SeenTable::kClassic);
-  EXPECT_EQ(detail::SeenIndex(52, 8340544).kind(), SeenTable::kCompact);
-  // Full-width keys can only use the classic table.
-  EXPECT_EQ(detail::SeenIndex(64, 1000).kind(), SeenTable::kClassic);
-  // Narrow codes: a bitmap no larger than the smaller hash table wins, at
-  // any hint. At 24 bits (2 MiB) it takes a fill that would grow the
-  // compact table to 2 MiB.
-  EXPECT_EQ(detail::SeenIndex(6, 0).kind(), SeenTable::kBitmap);
-  EXPECT_EQ(detail::SeenIndex(20, 0).kind(), SeenTable::kBitmap);
-  EXPECT_EQ(detail::SeenIndex(20, 8340544).kind(), SeenTable::kBitmap);
-  EXPECT_EQ(detail::SeenIndex(24, 0).kind(), SeenTable::kCompact);
-  EXPECT_EQ(detail::SeenIndex(24, 8340544).kind(), SeenTable::kBitmap);
-}
-
 // Spreads consecutive indices over the whole width (an odd multiplier is a
-// bijection mod 2^bits), so codes use every bucket of a compact table.
+// bijection mod 2^bits), so racing inserts land all over the bitmap.
 std::uint64_t spread_code(std::uint64_t index, int bits) {
   return (index * 0x9e3779b97f4a7c15ull) & code_mask(bits);
-}
-
-TEST(ParallelEngine, SeenIndexTurnsCompactAtGrowth) {
-  // 46-bit codes: the compact table needs >= 2^18 slots (1MB); the classic
-  // table starts at 2^16 slots (512KB) and wins until its next size would
-  // reach 1MB.
-  constexpr int kBits = 46;
-  detail::SeenIndex seen(kBits, /*expected_states=*/0);
-  ASSERT_EQ(seen.kind(), SeenTable::kClassic);
-  constexpr std::uint64_t kBefore = 20000;
-  for (std::uint64_t i = 0; i < kBefore; ++i) {
-    ASSERT_TRUE(seen.insert(spread_code(i, kBits)));
-  }
-  seen.reserve_level(kBefore, 10000);  // fits 2^16 slots: no growth
-  ASSERT_EQ(seen.kind(), SeenTable::kClassic);
-  const std::uint64_t classic_bytes = seen.bytes();
-  seen.reserve_level(kBefore, 200000);  // classic would grow to 4MB
-  ASSERT_EQ(seen.kind(), SeenTable::kCompact);
-  EXPECT_EQ(seen.peak_bytes(), classic_bytes + seen.bytes())
-      << "the switch holds both tables at once";
-  for (std::uint64_t i = 0; i < kBefore; ++i) {
-    ASSERT_FALSE(seen.insert(spread_code(i, kBits))) << i;
-  }
-
-  // Concurrent inserts after the switch: every thread races over the same
-  // overlapping range, and each new code succeeds exactly once.
-  constexpr std::uint64_t kAfter = 150000;
-  constexpr int kThreads = 8;
-  std::atomic<std::uint64_t> inserted{0};
-  std::vector<std::thread> pool;
-  pool.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    pool.emplace_back([&seen, &inserted, t] {
-      std::uint64_t mine = 0;
-      for (std::uint64_t i = 0; i < kBefore + kAfter; ++i) {
-        const std::uint64_t index =
-            (i + static_cast<std::uint64_t>(t) * (kAfter / kThreads)) %
-            (kBefore + kAfter);
-        if (seen.insert(spread_code(index, kBits))) ++mine;
-      }
-      inserted.fetch_add(mine);
-    });
-  }
-  for (std::thread& t : pool) t.join();
-  EXPECT_EQ(inserted.load(), kAfter);
-  // Growing the compact table afterwards still keeps every member.
-  seen.reserve_level(kBefore + kAfter, 4 * kAfter);
-  for (std::uint64_t i = 0; i < kBefore + kAfter; i += 7) {
-    EXPECT_FALSE(seen.insert(spread_code(i, kBits))) << i;
-  }
 }
 
 // The bitmap's insert is a load then a fetch_or: of racing inserts of one
@@ -1353,105 +1233,6 @@ TEST(ParallelEngine, BitmapSeenSetConcurrentInsert) {
   }
 }
 
-TEST(ParallelEngine, BitmapSeenSetTakesOverFromCompactAtGrowth) {
-  // 22-bit codes: the bitmap is 512 KiB; the compact table starts at 2^16
-  // slots (256 KiB) and would reach 512 KiB at its first growth.
-  constexpr int kBits = 22;
-  detail::SeenIndex seen(kBits, /*expected_states=*/0);
-  ASSERT_EQ(seen.kind(), SeenTable::kCompact);
-  constexpr std::uint64_t kBefore = 40000;
-  for (std::uint64_t i = 0; i < kBefore; ++i) {
-    ASSERT_TRUE(seen.insert(spread_code(i, kBits)));
-  }
-  seen.reserve_level(kBefore, 9000);  // fits 2^16 slots: no growth
-  ASSERT_EQ(seen.kind(), SeenTable::kCompact);
-  const std::uint64_t compact_bytes = seen.bytes();
-  seen.reserve_level(kBefore, 20000);  // compact would grow to 512 KiB
-  ASSERT_EQ(seen.kind(), SeenTable::kBitmap);
-  EXPECT_EQ(seen.bytes(), detail::BitmapSeenSet::bytes_for(kBits));
-  EXPECT_EQ(seen.peak_bytes(), compact_bytes + seen.bytes())
-      << "the switch holds both sets at once";
-  EXPECT_NE(seen.bitmap(), nullptr);
-  // Identical membership: every moved code is present, nothing else is.
-  for (std::uint64_t i = 0; i < kBefore; ++i) {
-    ASSERT_FALSE(seen.insert(spread_code(i, kBits))) << i;
-  }
-  for (std::uint64_t i = kBefore; i < 2 * kBefore; ++i) {
-    ASSERT_TRUE(seen.insert(spread_code(i, kBits))) << i;
-  }
-  // One-way: no fill ever brings a hash table back.
-  seen.reserve_level(2 * kBefore, std::uint64_t{1} << 30);
-  EXPECT_EQ(seen.kind(), SeenTable::kBitmap);
-  EXPECT_EQ(seen.bytes(), detail::BitmapSeenSet::bytes_for(kBits));
-  for (std::uint64_t i = 0; i < 2 * kBefore; i += 7) {
-    EXPECT_FALSE(seen.insert(spread_code(i, kBits))) << i;
-  }
-}
-
-// A heap-shaped space of `states` indices (i -> 2i+1, 2i+2, i+1) whose
-// codes spread across 46 bits: declared as 46-bit codes, an unhinted run's
-// seen-set starts classic and turns compact at a level barrier mid-run;
-// declared full-width, the same space can only use the classic table.
-struct SpreadModel {
-  struct State {
-    std::uint64_t bits = 0;
-  };
-  static constexpr int kBits = 46;
-  std::uint64_t states = 200000;
-  int width = kBits;
-
-  int code_bits() const { return width; }
-  static std::uint64_t index_of(const State& st) {
-    return (st.bits * detail::odd_inverse(0x9e3779b97f4a7c15ull)) &
-           code_mask(kBits);
-  }
-  std::vector<State> initial_states() const { return {State{0}}; }
-  template <class Emit>
-  void successors(const State& st, Emit&& emit) const {
-    const std::uint64_t i = index_of(st);
-    for (const std::uint64_t next : {2 * i + 1, 2 * i + 2, i + 1}) {
-      if (next < states) emit(State{spread_code(next, kBits)}, kLabelNone);
-    }
-  }
-  std::string check_state(const State&) const { return {}; }
-  std::string describe(const State& st) const {
-    return "i" + std::to_string(index_of(st));
-  }
-};
-
-static_assert(CompactModel<SpreadModel>);
-
-TEST(ParallelEngine, UnhintedRunSwitchesToCompactWithIdenticalResults) {
-  const SpreadModel model;
-  const CheckResult hinted =
-      run_check(model, {.threads = 1, .expected_states = model.states});
-  ASSERT_TRUE(hinted.ok()) << hinted.counterexample;
-  EXPECT_EQ(hinted.states, model.states);
-  const CheckResult classic =
-      run_check(SpreadModel{.width = 64}, {.threads = 1});
-  EXPECT_EQ(classic.states, hinted.states);
-  EXPECT_EQ(classic.transitions, hinted.transitions);
-  EXPECT_EQ(classic.depth, hinted.depth);
-  for (const int threads : {1, 2, 4}) {
-    for (const std::uint64_t hint : {model.states, std::uint64_t{0}}) {
-      const CheckResult result =
-          run_check(model, {.threads = threads, .expected_states = hint});
-      EXPECT_EQ(result.verdict, hinted.verdict)
-          << "threads=" << threads << " hint=" << hint;
-      EXPECT_EQ(result.states, hinted.states);
-      EXPECT_EQ(result.transitions, hinted.transitions);
-      EXPECT_EQ(result.depth, hinted.depth);
-      if (hint == 0) {
-        // Until it switches, the unhinted table grows exactly like the
-        // classic-only one (same fills, same projections), so a lower peak
-        // means it switched, and the switch is one-way: it ended compact.
-        EXPECT_LT(result.seen_bytes, classic.seen_bytes)
-            << "threads=" << threads;
-      }
-    }
-  }
-}
-
 TEST(ParallelEngine, SlabMapsAlignedZeroedPagesAndReleasesThem) {
   constexpr std::size_t kPage = 4096;
   constexpr std::size_t kSlots = 3 * detail::kHugePage / sizeof(std::uint32_t);
@@ -1484,103 +1265,20 @@ TEST(ParallelEngine, SlabMapsAlignedZeroedPagesAndReleasesThem) {
   }
 }
 
-// The engine's two sinks: on bitmap levels each successor is inserted as it
-// is emitted; on hash-table levels it is hashed, filtered and prefetched,
-// and inserted a state later. The 22-bit relation (arbitrary mode, no
-// crash, two pairs) runs on the bitmap from level 0 when hinted, and on the
-// compact table until a growth hands over when not; both must explore
-// identically. With accuracy checked it stops on Theorem 2 at depth 20,
-// before that hand-over, so the unhinted counterexample comes from the hash
-// sink alone.
-TEST(ModelChecker, BitmapAndHashSinksExploreIdentically) {
-  for (const bool accuracy : {false, true}) {
-    McOptions options;
-    options.mode = BoxMode::kArbitrary;
-    options.check_accuracy = accuracy;
-    options.pairs = 2;
-    const ReductionModel model(options);
-    ASSERT_EQ(model.code_bits(), 22);
-    for (const int threads : {1, 4}) {
-      const CheckResult hinted = run_check(
-          model, {.threads = threads, .expected_states = 1'742'400});
-      const CheckResult unhinted = run_check(model, {.threads = threads});
-      EXPECT_EQ(hinted.seen_table, SeenTable::kBitmap);
-      EXPECT_EQ(hinted.seen_bytes, detail::BitmapSeenSet::bytes_for(22))
-          << "the hinted check never held a hash table";
-      if (accuracy) {
-        EXPECT_EQ(unhinted.seen_table, SeenTable::kCompact);
-      } else {
-        EXPECT_EQ(unhinted.seen_table, SeenTable::kBitmap);
-        EXPECT_GT(unhinted.seen_bytes, hinted.seen_bytes)
-            << "the unhinted check started on the compact table";
-      }
-      const std::string where = "accuracy=" + std::to_string(accuracy) +
-                                " threads=" + std::to_string(threads);
-      EXPECT_EQ(unhinted.states, hinted.states) << where;
-      EXPECT_EQ(unhinted.transitions, hinted.transitions) << where;
-      EXPECT_EQ(unhinted.depth, hinted.depth) << where;
-      EXPECT_EQ(unhinted.verdict, hinted.verdict) << where;
-      EXPECT_EQ(unhinted.counterexample, hinted.counterexample) << where;
-      EXPECT_EQ(hinted.verdict,
-                accuracy ? Verdict::kViolation : Verdict::kOk)
-          << where << ": " << hinted.counterexample;
-    }
-  }
-}
+// --- the seen-set each model in src/ holds ----------------------------------
 
-// --- campaign pre-sizing under reductions ----------------------------------
-
-// Regression: sweeps used to forward the full-space state count into
-// CheckOptions::expected_states even for symmetry-reduced runs, pre-sizing
-// the seen-set several times larger than its fill ever reaches. JobMeta now
-// carries both counts and expected_for() picks per reduction level.
-TEST(ModelChecker, ExpectedStatesHintHonorsReductionLevel) {
-  harness::JobMeta meta;
-  meta.expected_states = 516961;
-  meta.expected_states_symmetry = 83436;
-  EXPECT_EQ(meta.expected_for(false), 516961u);
-  EXPECT_EQ(meta.expected_for(true), 83436u);
-  EXPECT_EQ(harness::JobMeta{.expected_states = 719}.expected_for(true), 719u)
-      << "unknown reduced count falls back to the full count";
-
-  McOptions two;
-  two.pairs = 2;
-  const CheckResult oversized = check_reduction(
-      two, {.threads = 2, .expected_states = meta.expected_for(false),
-            .reduction = Reduction::kSymmetry});
-  const CheckResult sized = check_reduction(
-      two, {.threads = 2, .expected_states = meta.expected_for(true),
-            .reduction = Reduction::kSymmetry});
-  ASSERT_TRUE(sized.ok()) << sized.counterexample;
-  EXPECT_EQ(sized.states, oversized.states);
-  EXPECT_EQ(sized.transitions, oversized.transitions);
-  EXPECT_EQ(sized.verdict, oversized.verdict);
-  // This space's codes are 20 bits, so both hints pick the same 128 KiB
-  // bitmap. At the 26-bit width of a raw pair block the hint still sizes a
-  // hash table, and there the reduced hint must shrink it.
-  EXPECT_EQ(sized.seen_bytes, oversized.seen_bytes);
-  EXPECT_LT(detail::SeenIndex(26, meta.expected_for(true)).bytes(),
-            detail::SeenIndex(26, meta.expected_for(false)).bytes())
-      << "the reduced hint must shrink the table";
-}
-
-// --- which seen-set each model in src/ ends on ------------------------------
-
-// None of them reaches the classic 64-bit table: GKK (6-bit codes) and the
-// ablation (8-bit) hold a bitmap of a few bytes from construction, and each
-// two-pair reduction relation, coded by pair-table index, ends an unhinted
-// check on the bitmap — the 20-bit one from construction, the 22- and
-// 24-bit ones after the compact table's growth hands over to it.
+// Each check holds exactly one bitmap over its model's codes, from the
+// first state to the verdict, and no second table: GKK (6-bit codes), the
+// ablation (8 bits) and the four two-pair reduction relations (20-24 bits,
+// coded by pair-table index), each explored identically on 1 and 4 threads.
 TEST(ModelChecker, SourceModelsEndOnTheBitmapSeenSet) {
   for (const GkkBoxSemantics box :
        {GkkBoxSemantics::kForkBased, GkkBoxSemantics::kLockout}) {
-    const CheckResult gkk = check_gkk(box);
-    EXPECT_EQ(gkk.seen_table, SeenTable::kBitmap);
-    EXPECT_EQ(gkk.seen_bytes, detail::BitmapSeenSet::bytes_for(6));
+    EXPECT_EQ(check_gkk(box).seen_bytes,
+              detail::BitmapSeenSet::bytes_for(GkkModel(box).code_bits()));
   }
-  const CheckResult ablation = check_ablation();
-  EXPECT_EQ(ablation.seen_table, SeenTable::kBitmap);
-  EXPECT_EQ(ablation.seen_bytes, detail::BitmapSeenSet::bytes_for(8));
+  EXPECT_EQ(check_ablation().seen_bytes,
+            detail::BitmapSeenSet::bytes_for(AblationModel{}.code_bits()));
 
   for (const BoxMode mode : {BoxMode::kExclusive, BoxMode::kArbitrary}) {
     for (const bool crash : {false, true}) {
@@ -1593,12 +1291,16 @@ TEST(ModelChecker, SourceModelsEndOnTheBitmapSeenSet) {
       const int bits = model.code_bits();
       EXPECT_EQ(bits, mode == BoxMode::kExclusive ? (crash ? 24 : 20)
                                                   : (crash ? 24 : 22));
-      const CheckResult result = run_check(model, {.threads = 4});
-      ASSERT_TRUE(result.ok()) << result.counterexample;
-      EXPECT_EQ(result.seen_table, SeenTable::kBitmap) << "bits=" << bits;
-      if (bits == 20) {
-        EXPECT_EQ(result.seen_bytes, detail::BitmapSeenSet::bytes_for(20));
+      const CheckResult one = run_check(model, {.threads = 1});
+      const CheckResult four = run_check(model, {.threads = 4});
+      for (const CheckResult* result : {&one, &four}) {
+        ASSERT_TRUE(result->ok()) << result->counterexample;
+        EXPECT_EQ(result->seen_bytes, detail::BitmapSeenSet::bytes_for(bits))
+            << "bits=" << bits << " threads=" << result->threads;
       }
+      EXPECT_EQ(four.states, one.states) << "bits=" << bits;
+      EXPECT_EQ(four.transitions, one.transitions) << "bits=" << bits;
+      EXPECT_EQ(four.depth, one.depth) << "bits=" << bits;
     }
   }
 }
