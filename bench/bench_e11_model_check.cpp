@@ -103,7 +103,6 @@ int main(int argc, char** argv) {
         .field("seen_bytes", par.seen_bytes)
         .field("graph_bytes", par.graph_bytes)
         .field("frontier_peak_bytes", par.frontier_peak_bytes)
-        .field("spilled_bytes", par.spilled_bytes)
         .field_json("registry", snap.to_json());
   }
   std::cout << "\nParallel frontier exploration: " << par_threads

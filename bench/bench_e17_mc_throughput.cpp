@@ -12,9 +12,7 @@
 // two-pair spaces and report the orbit-reduction factor (full-space states
 // per stored state) and bytes/state alongside the throughput; the verdict
 // and — for POR — the reachable state set must be identical to the
-// unreduced rows, which the shape checks enforce. A spill row reruns the
-// headline space with a frontier budget below its working set and must
-// reproduce the exact same exploration out of temp files.
+// unreduced rows, which the shape checks enforce.
 //
 // This is the perf-trajectory anchor for the model-checker engine: run it
 // before and after any engine change and diff the JSON rows (see
@@ -54,7 +52,6 @@ struct Config {
   int pairs = 1;
   int threads = 1;
   mc::Reduction reduction = mc::Reduction::kNone;
-  std::uint64_t frontier_budget = 0;  // 0 = unlimited (never spill)
 };
 
 // A configuration and the exact state counts its check must report:
@@ -127,11 +124,10 @@ int main(int argc, char** argv) {
   // count (pinned by tests/test_model_checker.cpp's closed forms).
   const auto add_reduced = [&](mc::BoxMode mode, bool crash, bool accuracy,
                                int pairs, int threads, mc::Reduction level,
-                               std::uint64_t full, std::uint64_t stored,
-                               std::uint64_t budget = 0) {
-    Config config{"reduction", mode, crash, accuracy, pairs, threads, level,
-                  budget};
-    shapes.push_back({config, full, stored});
+                               std::uint64_t full, std::uint64_t stored) {
+    shapes.push_back(
+        {{"reduction", mode, crash, accuracy, pairs, threads, level}, full,
+         stored});
   };
   if (!quick) {
     add_reduction(mc::BoxMode::kExclusive, false, true, 1, 719);
@@ -149,11 +145,6 @@ int main(int argc, char** argv) {
     add_reduced(mc::BoxMode::kExclusive, false, true, 2, threads,
                 mc::Reduction::kSymmetryPor, 516961, 166464);
   }
-  // Spill demonstration: a frontier budget far below the headline space's
-  // working set (its 20-bit frontier, 3 bytes a code, peaks at 65,392 B);
-  // the exploration must come back identical, out of files.
-  add_reduced(mc::BoxMode::kExclusive, false, true, 2, 4,
-              mc::Reduction::kNone, 516961, 516961, /*budget=*/32 * 1024);
   if (!quick) {
     add_reduction(mc::BoxMode::kArbitrary, true, false, 2, 8340544);
     // The big (~8.3M-state) space, reduced, at the headline thread count.
@@ -175,9 +166,8 @@ int main(int argc, char** argv) {
         const Config& config = shape.config;
         const auto start = std::chrono::steady_clock::now();
         const mc::CheckResult result = run_config(
-            config, {.threads = config.threads,
-                     .reduction = config.reduction,
-                     .frontier_budget_bytes = config.frontier_budget});
+            config,
+            {.threads = config.threads, .reduction = config.reduction});
         return Row{shape, result,
                    std::chrono::duration<double>(
                        std::chrono::steady_clock::now() - start)
@@ -211,7 +201,6 @@ int main(int argc, char** argv) {
         .field("mode", mode_name).field("crash", c.crash)
         .field("pairs", c.pairs).field("threads", c.threads)
         .field("reduction", mc::reduction_name(r.reduction))
-        .field("spill", c.frontier_budget != 0)
         .field("states", r.states).field("transitions", r.transitions)
         .field("depth", r.depth).field("seconds", row.seconds)
         .field("states_per_sec", static_cast<std::uint64_t>(rate))
@@ -219,7 +208,6 @@ int main(int argc, char** argv) {
         .field("bytes_per_state", bytes_per_state)
         .field("graph_bytes", r.graph_bytes)
         .field("frontier_peak_bytes", r.frontier_peak_bytes)
-        .field("spilled_bytes", r.spilled_bytes)
         .field("verdict", mc::verdict_name(r.verdict));
     if (c.model == "reduction" && r.states > 0) {
       const double factor =
@@ -253,7 +241,7 @@ int main(int argc, char** argv) {
       shape_check.expect(ra.verdict == rb.verdict,
                          "reduction-independent verdict for " + a.model +
                              " pairs=" + std::to_string(a.pairs));
-      if (a.reduction == b.reduction && a.frontier_budget == b.frontier_budget) {
+      if (a.reduction == b.reduction) {
         shape_check.expect(ra.states == rb.states &&
                                ra.transitions == rb.transitions &&
                                ra.depth == rb.depth,
@@ -265,13 +253,13 @@ int main(int argc, char** argv) {
       const bool b_keeps_states = !mc::reduction_has_symmetry(rb.reduction);
       if (a_keeps_states && b_keeps_states) {
         shape_check.expect(ra.states == rb.states,
-                           "POR/spill preserve the reachable state set for " +
+                           "POR preserves the reachable state set for " +
                                a.model + " pairs=" + std::to_string(a.pairs));
       }
     }
   }
-  // The expected verdicts (the throughput run is still a real check), the
-  // reduction factors and the spill row's behaviour.
+  // The expected verdicts (the throughput run is still a real check) and
+  // the reduction factors.
   for (const Row& row : rows) {
     const bool lasso_expected =
         row.config.model == "gkk-fork" || row.config.model == "ablation";
@@ -294,10 +282,6 @@ int main(int argc, char** argv) {
           row.states >= 3 * row.result.states,
           "symmetry alone stores >= 3x fewer states (acceptance floor)");
     }
-    if (row.config.frontier_budget != 0) {
-      shape_check.expect(row.result.spilled_bytes > 0,
-                         "the budgeted row actually spilled");
-    }
   }
 
   // Headline: the pairs=2 reduction at 4 threads should beat 1 thread on
@@ -308,8 +292,7 @@ int main(int argc, char** argv) {
   for (const Row& row : rows) {
     if (row.config.model != "reduction" || row.config.pairs != 2 ||
         row.config.mode != mc::BoxMode::kExclusive || row.seconds <= 0.0 ||
-        row.config.reduction != mc::Reduction::kNone ||
-        row.config.frontier_budget != 0) {
+        row.config.reduction != mc::Reduction::kNone) {
       continue;
     }
     const double rate = row.result.states / row.seconds;
@@ -383,12 +366,12 @@ int main(int argc, char** argv) {
   }
 
   std::cout << "\nEngine shape: pair-table index codes (20-24 bits for two "
-               "pairs), byte-packed\nfrontier segments in one lane per worker "
-               "(disk-spillable past a budget),\none lock-free bitmap "
+               "pairs), a frontier\nof 32-bit codes in 4096-code blocks, one "
+               "list per worker joined in worker\norder, one lock-free bitmap "
                "seen-set over every code (each successor inserted as\nit is "
                "emitted), symmetry/POR reduction levels with identical "
-               "verdicts,\npersistent worker pool (std::barrier per BFS "
-               "level), CSR\n"
+               "verdicts,\npersistent worker pool (one std::barrier phase per "
+               "BFS level, its completion\nstep between levels), CSR "
                "reachable graph for analyze hooks; identical\nverdict and "
                "state count at every thread count (see BENCH_e17.json for "
                "the\nrecorded pre/post comparisons).\n";

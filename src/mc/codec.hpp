@@ -2,27 +2,18 @@
 //
 // Every engine-visible state is a packed integral key ("code"), of which a
 // model declares how many low bits are significant (`code_bits()`, see
-// model.hpp). The engine stores frontier codes in the whole bytes that
-// width needs, and its seen-set is a bitmap over every code (seen.hpp).
+// model.hpp). The engine's frontier holds codes as plain 32-bit words and
+// its seen-set is a bitmap over every code (seen.hpp).
 //
-// Two storage primitives live here:
-//  * PackedCodeVector — an append-only vector of fixed-width codes, each in
-//    ceil(width/8) bytes back-to-back over 64-bit words, followed by one
-//    zero pad word so that a read is one unaligned 8-byte load and a mask.
-//    This is the frontier-segment representation, and the unit that the
-//    spillable frontier writes to / reads back from temp files (without the
-//    pad, which the reader restores).
-//  * DeltaEdgeLog — the per-worker edge log feeding the CSR build for
-//    AnalyzableModel types. Instead of 8B+1B per edge it stores, per
-//    expanded node, a varint out-degree followed by one varint XOR-delta
-//    (to-code XOR from-code; successors share most bits with their source
-//    in these packed encodings) plus a label byte per edge.
+// DeltaEdgeLog is the per-worker edge log feeding the CSR build for
+// AnalyzableModel types. Instead of 8B+1B per edge it stores, per expanded
+// node, a varint out-degree followed by one varint XOR-delta (to-code XOR
+// from-code; successors share most bits with their source in these packed
+// encodings) plus a label byte per edge.
 #pragma once
 
-#include <bit>
-#include <cassert>
+#include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <vector>
 
 namespace wfd::mc {
@@ -31,82 +22,6 @@ namespace wfd::mc {
 inline constexpr std::uint64_t code_mask(int bits) {
   return bits >= 64 ? ~0ull : ((1ull << bits) - 1);
 }
-
-/// Append-only fixed-width code store. Each code takes ceil(width/8) bytes,
-/// little-endian, back-to-back; a code may straddle two words. One zero pad
-/// word always follows the last word that holds a code, inside the vector's
-/// size, so push_back is one 8-byte store and read one 8-byte load and a
-/// mask: neither branches on the straddle, and neither leaves the vector.
-/// Random-access reads only — no mutation after append — so the word array
-/// can be spilled to disk and re-materialized verbatim.
-class PackedCodeVector {
- public:
-  static_assert(std::endian::native == std::endian::little,
-                "codes are stored and loaded as little-endian words");
-
-  PackedCodeVector() = default;
-  explicit PackedCodeVector(int width) : width_(width) {
-    assert(width >= 1 && width <= 64);
-  }
-
-  void push_back(std::uint64_t code) {
-    assert(width_ == 64 || (code >> width_) == 0);
-    const std::size_t byte = size_ * bytes_per_code(width_);
-    ++size_;
-    // The vector's own growth: a code that reaches the pad needs a new one.
-    if (words_.size() == word_count()) words_.push_back(0);
-    // The store's bytes past the code are zero, as the pad already was.
-    std::memcpy(reinterpret_cast<char*>(words_.data()) + byte, &code,
-                sizeof code);
-  }
-
-  std::uint64_t operator[](std::size_t i) const {
-    return read(words_.data(), width_, i);
-  }
-
-  /// Decode code `i` out of a raw word array packed at `width`, which
-  /// must hold the 8 bytes from code `i`'s first one: the later codes or
-  /// the pad. (Static so spilled segments can be decoded from a scratch
-  /// buffer.)
-  static std::uint64_t read(const std::uint64_t* words, int width,
-                            std::size_t i) {
-    const char* const first =
-        reinterpret_cast<const char*>(words) + i * bytes_per_code(width);
-    std::uint64_t code;
-    std::memcpy(&code, first, sizeof code);
-    return code & code_mask(width);
-  }
-
-  std::size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
-  int width() const { return width_; }
-  /// word_count() words of codes, then the zero pad.
-  const std::uint64_t* words() const { return words_.data(); }
-  /// Words that hold codes (the pad not included): what a spill writes.
-  std::size_t word_count() const { return words_for(size_, width_); }
-  std::uint64_t bytes() const {
-    return words_.capacity() * sizeof(std::uint64_t);
-  }
-
-  /// Bytes one code of `width` bits takes.
-  static std::size_t bytes_per_code(int width) {
-    return static_cast<std::size_t>(width + 7) >> 3;
-  }
-  /// Words needed to hold `count` codes of `width` bits.
-  static std::size_t words_for(std::size_t count, int width) {
-    return (count * bytes_per_code(width) + 7) >> 3;
-  }
-
-  void clear() {
-    words_.assign(1, 0);
-    size_ = 0;
-  }
-
- private:
-  int width_ = 64;
-  std::vector<std::uint64_t> words_ = std::vector<std::uint64_t>(1);  // pad
-  std::size_t size_ = 0;
-};
 
 /// LEB128 varint append.
 inline void varint_put(std::vector<std::uint8_t>& out, std::uint64_t v) {

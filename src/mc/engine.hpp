@@ -15,12 +15,16 @@
 // and then. A property of a state's edges (deadlock, Theorem 1) is the
 // model's to precompute and report from check_state.
 //
-// The frontier itself is a store of packed code segments, one lane per
-// worker (frontier.hpp), that can spill to temp files past
-// CheckOptions::frontier_budget_bytes and stream back level-by-level, so
-// max_states stops being bound by RAM. The lanes are read back in worker
-// order and each in the order its codes were found, so one worker expands
-// every level in discovery order.
+// The frontier is plain 32-bit codes (kMaxCodeBits is 32): each worker
+// appends the codes it finds to its own list of fixed 4096-code blocks.
+// All work between two levels is the barrier's completion step, on one
+// thread while the others wait: level totals, metrics, spans, the least
+// violation, the budget check, and opening the next level, whose chunks
+// take the workers' lists in worker order and each in the order its codes
+// were found, so one worker expands every level in discovery order. Every
+// thread runs one expand-then-wait loop, and a level costs one barrier
+// phase. A worker expands its own list's chunks first, then the others' in
+// turn: its own codes are still in its cache (EXPERIMENTS E17).
 //
 // State-space reductions (CheckOptions::reduction; see model.hpp for the
 // soundness contracts):
@@ -46,9 +50,9 @@
 // thread count AT A GIVEN REDUCTION LEVEL. This holds because (a) the set
 // of states at each BFS level is a pure function of the level before it,
 // regardless of which worker wins an insertion race (canonicalization and
-// the POR rule are both pure per-state functions, and frontier lanes and
-// spilling only change where a level's codes sit and in which order they
-// are expanded, never which codes they are); (b) a level is always
+// the POR rule are both pure per-state functions, and which worker finds
+// a code only changes where the level holds it and when it is expanded,
+// never which codes the level holds); (b) a level is always
 // expanded to completion before violations are reported; and (c) among the
 // violations found in the first offending level, the one with the smallest
 // packed state key is selected — an order-free criterion.
@@ -57,19 +61,16 @@
 #include <algorithm>
 #include <atomic>
 #include <barrier>
-#include <cassert>
 #include <chrono>
 #include <cstdint>
-#include <cstring>
 #include <memory>
-#include <new>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "mc/codec.hpp"
-#include "mc/frontier.hpp"
 #include "mc/model.hpp"
 #include "mc/seen.hpp"
 
@@ -90,19 +91,74 @@ S decode_state(std::uint64_t code) {
   return S{static_cast<decltype(std::declval<S>().bits)>(code)};
 }
 
+/// One worker's codes for one BFS level, in the order it found them, in
+/// fixed blocks of kBlockCodes: a growing level never moves or doubles, and
+/// a cleared list keeps its blocks for the next level it holds.
+class CodeBlocks {
+ public:
+  static constexpr std::size_t kBlockCodes = 4096;
+
+  void push(std::uint32_t code) {
+    if (next_ == end_) open_block();
+    *next_++ = code;
+  }
+
+  std::size_t size() const {
+    return used_ * kBlockCodes - static_cast<std::size_t>(end_ - next_);
+  }
+
+  /// Calls fn on each block's codes, in push order.
+  template <class Fn>
+  void for_each_block(Fn&& fn) const {
+    for (std::size_t b = 0; b < used_; ++b) {
+      const std::uint32_t* const first = blocks_[b].get();
+      fn(std::span<const std::uint32_t>(
+          first, b + 1 < used_ ? first + kBlockCodes : next_));
+    }
+  }
+
+  void clear() {
+    used_ = 0;
+    next_ = end_ = nullptr;
+  }
+
+ private:
+  void open_block() {
+    if (used_ == blocks_.size()) {
+      blocks_.push_back(
+          std::make_unique_for_overwrite<std::uint32_t[]>(kBlockCodes));
+    }
+    next_ = blocks_[used_++].get();
+    end_ = next_ + kBlockCodes;
+  }
+
+  // The first used_ blocks hold codes; [next_, end_) is the free room of
+  // the last of them. The push cursor is two pointers, not a count, since
+  // it is bumped once per new state: a count costs ~6% of a pass.
+  std::vector<std::unique_ptr<std::uint32_t[]>> blocks_;
+  std::size_t used_ = 0;
+  std::uint32_t* next_ = nullptr;
+  std::uint32_t* end_ = nullptr;
+};
+
 /// Per-worker state, allocated once and reused across every BFS level (the
-/// scratch vectors keep their capacity, so steady-state expansion does not
-/// allocate).
-struct Worker {
-  std::vector<std::uint64_t> scratch;       // spilled-segment read buffer
+/// vectors and code blocks keep their capacity, so steady-state expansion
+/// does not allocate). Aligned to a cache line because a worker writes its
+/// `found` tail on every new state.
+struct alignas(64) Worker {
+  CodeBlocks found;  // the next level's codes this worker found
+  CodeBlocks level;  // the codes it found for the level being expanded
   std::vector<std::pair<std::uint64_t, std::uint8_t>> edge_codes;
   std::uint64_t transitions = 0;
   bool has_violation = false;
   std::uint64_t violation_key = 0;
   std::string violation;
-  std::string spill_error;  // first frontier chunk this worker could not read
   // Delta-compressed edge log for CSR assembly (collect-graph models only).
   DeltaEdgeLog log;
+  // `level` is chunks [next_chunk, chunks_end) of the level; other workers
+  // claim them too, so these sit last, on a cache line of their own.
+  alignas(64) std::atomic<std::size_t> next_chunk{0};
+  std::size_t chunks_end = 0;
 };
 
 /// Merge the per-worker edge logs into a CSR ReachView sorted by packed key
@@ -223,18 +279,14 @@ CheckResult run_check(const M& model, const CheckOptions& options = {}) {
   }
 
   detail::BitmapSeenSet seen(width);
-  detail::SpillableFrontier frontier(width, options.frontier_budget_bytes,
-                                     workers);
-  std::vector<detail::SpillableFrontier::Producer> producers;
-  producers.reserve(static_cast<std::size_t>(workers));
-  for (int w = 0; w < workers; ++w) producers.emplace_back(&frontier, w);
+  std::vector<detail::Worker> outs(static_cast<std::size_t>(workers));
 
   // Instrumentation (all optional; never perturbs the exploration).
   obs::Registry* const metrics = options.metrics;
-  std::unique_ptr<obs::Scope> mscope;
+  std::unique_ptr<obs::Scope> mscope;  // written by the level step only
   obs::Registry::Id m_states = 0, m_transitions = 0, m_levels = 0;
   obs::Registry::Id m_level_rate = 0, m_barrier = 0, g_seen_load = 0;
-  obs::Registry::Id g_frontier_peak = 0, g_spilled = 0;
+  obs::Registry::Id g_frontier_peak = 0;
   if (metrics != nullptr) {
     m_states = metrics->counter("mc.states");
     m_transitions = metrics->counter("mc.transitions");
@@ -243,20 +295,17 @@ CheckResult run_check(const M& model, const CheckOptions& options = {}) {
     m_barrier = metrics->histogram("mc.barrier_wait_us");
     g_seen_load = metrics->gauge("mc.seen_load_pct");
     g_frontier_peak = metrics->gauge("mc.frontier_peak_bytes");
-    g_spilled = metrics->gauge("mc.spilled_bytes");
     mscope = std::make_unique<obs::Scope>(*metrics);
   }
 
   // The one exit epilogue: EVERY return path seals the result through this,
-  // so wall_ms / seen_bytes / graph_bytes / frontier stats are populated
+  // so wall_ms / seen_bytes / graph_bytes and the gauges are populated
   // consistently no matter how the exploration ended (clean cover,
   // violation, budget, or a model-error early out; only a refused width
   // returns before there is a seen-set to report).
   const auto seal = [&](std::uint64_t graph_bytes) {
     result.seen_bytes = seen.bytes();
     result.graph_bytes = graph_bytes;
-    result.frontier_peak_bytes = frontier.peak_bytes();
-    result.spilled_bytes = frontier.spilled_bytes();
     result.wall_ms = elapsed_ms();
     if (metrics != nullptr) {
       metrics->set_gauge(
@@ -265,8 +314,6 @@ CheckResult run_check(const M& model, const CheckOptions& options = {}) {
               static_cast<double>(seen.capacity()));
       metrics->set_gauge(g_frontier_peak,
                          static_cast<double>(result.frontier_peak_bytes));
-      metrics->set_gauge(g_spilled,
-                         static_cast<double>(result.spilled_bytes));
     }
   };
 
@@ -288,29 +335,29 @@ CheckResult run_check(const M& model, const CheckOptions& options = {}) {
       seal(0);
       return result;
     }
-    if (seen.insert(code)) producers[0].push(code);
+    if (seen.insert(code)) outs[0].found.push(static_cast<std::uint32_t>(code));
   }
-  producers[0].flush();
 
   constexpr bool kCollectGraph = AnalyzableModel<M>;
 
-  std::vector<detail::Worker> outs(static_cast<std::size_t>(workers));
-  std::atomic<std::size_t> cursor{0};
-  bool stop = false;  // written by the main thread at barriers only
-
-  // Small levels still fan out (chunks of kMinChunk) so the parallel path
-  // is exercised — and TSan-checkable — even on tiny models.
-  constexpr std::size_t kMinChunk = 16;
+  // The level being expanded. The level step sets these while every worker
+  // waits at the barrier, which orders its writes before the level's reads;
+  // during the level, workers only claim chunks through `next_chunk`.
+  std::vector<std::span<const std::uint32_t>> chunks;
+  std::size_t level_size = 0;
+  auto level_start = Clock::now();
+  bool stop = false;  // the workers leave their loop
 
   // The model emits each successor straight into `sink`, which
   // canonicalizes, validates and inserts it; no edge list is built.
-  auto expand = [&](detail::Worker& out,
-                    detail::SpillableFrontier::Producer& produce) {
+  const auto expand = [&](std::size_t me) {
+    detail::Worker& out = outs[me];
     std::size_t degree = 0;
     bool invalid = false;
     // The bitmap's words, copied into the sink like `canon` and
     // `code_invalid`.
     std::uint64_t* const words = seen.words();
+    detail::CodeBlocks& found = out.found;
     const auto sink = [&, canon, code_invalid, words](const S& next,
                                                       std::uint8_t label) {
       ++degree;
@@ -321,176 +368,169 @@ CheckResult run_check(const M& model, const CheckOptions& options = {}) {
         invalid = true;  // it has no bit; the level reports it
         return;
       }
-      if (detail::BitmapSeenSet::insert(words, to_code)) produce.push(to_code);
-    };
-    for (std::size_t ci = cursor.fetch_add(1); ci < frontier.chunk_count();
-         ci = cursor.fetch_add(1)) {
-      const detail::SpillableFrontier::View view =
-          frontier.resolve(ci, out.scratch);
-      if (!view.error.empty()) {
-        // The chunk's codes never arrived; expanding the scratch buffer
-        // would explore stale words as if they had been reached.
-        if (out.spill_error.empty()) out.spill_error = view.error;
-        continue;
+      if (detail::BitmapSeenSet::insert(words, to_code)) {
+        found.push(static_cast<std::uint32_t>(to_code));
       }
-      for (std::size_t i = view.begin; i < view.end; ++i) {
-        const std::uint64_t key =
-            PackedCodeVector::read(view.words, width, i);
-        const S st = detail::decode_state<S>(key);
-        const auto note = [&](std::string message) {
-          if (message.empty()) return false;
-          if (!out.has_violation || key < out.violation_key) {
-            out.has_violation = true;
-            out.violation_key = key;
-            out.violation = std::move(message);
+    };
+    for (std::size_t turn = 0; turn < outs.size(); ++turn) {  // own first
+      detail::Worker& owner = outs[(me + turn) % outs.size()];
+      for (std::size_t ci = owner.next_chunk.fetch_add(1);
+           ci < owner.chunks_end; ci = owner.next_chunk.fetch_add(1)) {
+        for (const std::uint64_t key : chunks[ci]) {
+          const S st = detail::decode_state<S>(key);
+          const auto note = [&](std::string message) {
+            if (message.empty()) return false;
+            if (!out.has_violation || key < out.violation_key) {
+              out.has_violation = true;
+              out.violation_key = key;
+              out.violation = std::move(message);
+            }
+            return true;
+          };
+          if (note(model.check_state(st))) continue;
+          degree = 0;
+          if constexpr (kCollectGraph) out.edge_codes.clear();
+          generate(st, sink, degree);
+          out.transitions += degree;
+          if (invalid) {
+            invalid = false;
+            note("model error: successor code exceeds the declared code_bits "
+                 "width | from " +
+                 model.describe(st));
+            continue;
           }
-          return true;
-        };
-        if (note(model.check_state(st))) continue;
-        degree = 0;
-        if constexpr (kCollectGraph) out.edge_codes.clear();
-        generate(st, sink, degree);
-        out.transitions += degree;
-        if (invalid) {
-          invalid = false;
-          note("model error: successor code exceeds the declared code_bits "
-               "width | from " +
-               model.describe(st));
-          continue;
+          if constexpr (kCollectGraph) out.log.append(key, out.edge_codes);
         }
-        if constexpr (kCollectGraph) out.log.append(key, out.edge_codes);
       }
     }
-    produce.flush();  // seal this worker's partial frontier segments
   };
 
-  // Persistent worker pool: one std::barrier phase releases the workers
-  // into a level, the next phase closes it; between the closing phase and
-  // the next opening one every worker is parked, so the main thread may
-  // freely rebuild the frontier's chunk list.
-  std::barrier barrier(workers);
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(workers) - 1);
-  for (int w = 1; w < workers; ++w) {
-    pool.emplace_back([&, w] {
-      // Per-worker metrics shard: barrier wait time (the parallel-efficiency
-      // signal — time a finished worker spends parked at the level-closing
-      // barrier while stragglers expand).
-      std::unique_ptr<obs::Scope> wscope;
-      if (metrics != nullptr) wscope = std::make_unique<obs::Scope>(*metrics);
-      for (;;) {
-        barrier.arrive_and_wait();  // level opens (or stop)
-        if (stop) return;
-        expand(outs[static_cast<std::size_t>(w)],
-               producers[static_cast<std::size_t>(w)]);
-        if (wscope != nullptr) {
-          const auto parked = Clock::now();
-          barrier.arrive_and_wait();  // level closes
-          wscope->observe(
-              m_barrier,
-              static_cast<std::uint64_t>(
-                  std::chrono::duration_cast<std::chrono::microseconds>(
-                      Clock::now() - parked)
-                      .count()));
-        } else {
-          barrier.arrive_and_wait();  // level closes
+  // Small levels still fan out (chunks of kMinChunk) so the parallel path
+  // is exercised — and TSan-checkable — even on tiny models.
+  constexpr std::size_t kMinChunk = 16;
+
+  // The level step: all the work between two levels, on one thread. It is
+  // the barrier's completion step, so every worker waits while it runs;
+  // the caller also runs it once before any worker starts, to open level
+  // 0. It closes the level just expanded (totals, metrics, span, the least
+  // violation), then opens the next: the codes each worker found, joined
+  // in worker order and carved into chunks, so one worker expands every
+  // level in the order its codes were found. An empty next level, a
+  // violation or the budget stops the check instead.
+  const auto level_step = [&]() noexcept {
+    std::size_t found = 0;
+    for (const detail::Worker& out : outs) found += out.found.size();
+    // The level and the codes found from it are resident together.
+    result.frontier_peak_bytes = std::max<std::uint64_t>(
+        result.frontier_peak_bytes,
+        sizeof(std::uint32_t) * (level_size + found));
+    if (level_size != 0) {
+      result.states += level_size;
+      std::uint64_t level_transitions = 0;
+      const detail::Worker* worst = nullptr;
+      for (detail::Worker& out : outs) {
+        level_transitions += out.transitions;
+        out.transitions = 0;
+        if (out.has_violation &&
+            (worst == nullptr || out.violation_key < worst->violation_key)) {
+          worst = &out;
         }
       }
-    });
-  }
-
-  bool stopped = false;
-  for (;;) {
-    const std::size_t level_size = frontier.sealed_codes();
-    if (level_size == 0) break;
-    if (result.states + level_size > options.max_states) {
+      result.transitions += level_transitions;
+      const double level_seconds =
+          std::chrono::duration<double>(Clock::now() - level_start).count();
+      if (mscope != nullptr) {
+        mscope->add(m_levels);
+        mscope->add(m_states, level_size);
+        mscope->add(m_transitions, level_transitions);
+        mscope->observe(
+            m_level_rate,
+            level_seconds > 0.0
+                ? static_cast<std::uint64_t>(
+                      static_cast<double>(level_size) / level_seconds)
+                : 0);
+      }
+      if (options.spans != nullptr) {
+        options.spans->record(
+            "level " + std::to_string(result.depth), /*track=*/0,
+            std::chrono::duration<double, std::milli>(level_start - start)
+                .count(),
+            level_seconds * 1000.0, level_size);
+      }
+      if (worst != nullptr) {
+        result.verdict = Verdict::kViolation;
+        result.counterexample = worst->violation;
+        stop = true;
+        return;
+      }
+      if (found != 0) ++result.depth;
+    }
+    if (found == 0) {
+      stop = true;
+      return;
+    }
+    if (result.states + found > options.max_states) {
       result.verdict = Verdict::kBudgetExceeded;
       result.counterexample = "state budget exceeded after " +
                               std::to_string(result.states) + " states";
-      stopped = true;
-      break;
+      stop = true;
+      return;
     }
-
-    frontier.begin_level(std::clamp<std::size_t>(
-        level_size / (static_cast<std::size_t>(workers) * 8), kMinChunk,
-        2048));
-    cursor.store(0, std::memory_order_relaxed);
-
-    const auto level_start = Clock::now();
-    barrier.arrive_and_wait();  // open the level
-    expand(outs[0], producers[0]);
-    if (mscope != nullptr) {
-      const auto parked = Clock::now();
-      barrier.arrive_and_wait();  // close it: every worker is parked again
-      mscope->observe(m_barrier,
-                      static_cast<std::uint64_t>(
-                          std::chrono::duration_cast<std::chrono::microseconds>(
-                              Clock::now() - parked)
-                              .count()));
-    } else {
-      barrier.arrive_and_wait();  // close it: every worker is parked again
-    }
-
-    result.states += level_size;
-    std::uint64_t level_transitions = 0;
-    const detail::Worker* worst = nullptr;
-    const std::string* spill_error = nullptr;
+    const std::size_t chunk_codes = std::clamp<std::size_t>(
+        found / (static_cast<std::size_t>(workers) * 8), kMinChunk, 2048);
+    chunks.clear();
     for (detail::Worker& out : outs) {
-      level_transitions += out.transitions;
-      result.transitions += out.transitions;
-      out.transitions = 0;
-      if (out.has_violation &&
-          (worst == nullptr || out.violation_key < worst->violation_key)) {
-        worst = &out;
-      }
-      if (spill_error == nullptr && !out.spill_error.empty()) {
-        spill_error = &out.spill_error;
-      }
+      std::swap(out.level, out.found);
+      out.found.clear();
+      out.next_chunk.store(chunks.size(), std::memory_order_relaxed);
+      out.level.for_each_block([&](std::span<const std::uint32_t> block) {
+        for (std::size_t i = 0; i < block.size(); i += chunk_codes) {
+          chunks.push_back(
+              block.subspan(i, std::min(chunk_codes, block.size() - i)));
+        }
+      });
+      out.chunks_end = chunks.size();
     }
-    const double level_seconds =
-        std::chrono::duration<double>(Clock::now() - level_start).count();
-    if (mscope != nullptr) {
-      mscope->add(m_levels);
-      mscope->add(m_states, level_size);
-      mscope->add(m_transitions, level_transitions);
-      mscope->observe(
-          m_level_rate,
-          level_seconds > 0.0
-              ? static_cast<std::uint64_t>(
-                    static_cast<double>(level_size) / level_seconds)
-              : 0);
-    }
-    if (options.spans != nullptr) {
-      options.spans->record(
-          "level " + std::to_string(result.depth), /*track=*/0,
-          std::chrono::duration<double, std::milli>(level_start - start)
-              .count(),
-          level_seconds * 1000.0, level_size);
-    }
-    if (spill_error != nullptr) {
-      // Part of the level was never expanded, so neither a clean cover nor
-      // this level's least violation can be claimed.
-      result.verdict = Verdict::kViolation;
-      result.counterexample = "engine error: " + *spill_error;
-      stopped = true;
-      break;
-    }
-    if (worst != nullptr) {
-      result.verdict = Verdict::kViolation;
-      result.counterexample = worst->violation;
-      stopped = true;
-      break;
-    }
-    if (frontier.sealed_codes() != 0) ++result.depth;
-  }
+    level_size = found;
+    level_start = Clock::now();
+  };
 
-  stop = true;
-  barrier.arrive_and_wait();  // release parked workers into their exit
+  // Persistent worker pool, the caller as worker 0: each thread expands
+  // the level, then waits at the barrier, whose completion opens the next
+  // one. A level costs one barrier phase.
+  std::barrier barrier(workers, level_step);
+  const auto work = [&](std::size_t me) {
+    // Per-thread metrics shard: barrier wait time (the parallel-efficiency
+    // signal — time a finished worker spends parked while stragglers
+    // expand and the level step runs).
+    std::unique_ptr<obs::Scope> wscope;
+    if (metrics != nullptr) wscope = std::make_unique<obs::Scope>(*metrics);
+    while (!stop) {
+      expand(me);
+      const auto parked =
+          wscope != nullptr ? Clock::now() : Clock::time_point{};
+      barrier.arrive_and_wait();
+      if (wscope != nullptr) {
+        wscope->observe(
+            m_barrier,
+            static_cast<std::uint64_t>(
+                std::chrono::duration_cast<std::chrono::microseconds>(
+                    Clock::now() - parked)
+                    .count()));
+      }
+    }
+  };
+
+  level_step();  // open level 0
+  std::vector<std::thread> pool;
+  pool.reserve(static_cast<std::size_t>(workers) - 1);
+  for (std::size_t w = 1; w < outs.size(); ++w) pool.emplace_back(work, w);
+  work(0);
   for (std::thread& t : pool) t.join();
 
   std::uint64_t graph_bytes = 0;
   if constexpr (kCollectGraph) {
-    if (!stopped) {
+    if (result.ok()) {  // the space was covered
       const auto analyze_start = Clock::now();
       const ReachView<S> graph = detail::build_reach_view<S>(outs);
       graph_bytes = graph.bytes();

@@ -95,7 +95,8 @@ struct CheckOptions {
   std::uint64_t max_states = 50'000'000;
   /// Optional metrics registry: the engine registers mc.states /
   /// mc.transitions / mc.levels counters, an mc.level_states_per_sec and a
-  /// per-worker mc.barrier_wait_us histogram, and an mc.seen_load_pct gauge.
+  /// per-worker mc.barrier_wait_us histogram, and mc.seen_load_pct and
+  /// mc.frontier_peak_bytes gauges.
   /// Instrumentation never changes the exploration (the verdict and counts
   /// stay thread-count-independent and identical to an uninstrumented run).
   obs::Registry* metrics = nullptr;
@@ -107,9 +108,6 @@ struct CheckOptions {
   /// model's hooks (SymmetricModel / PorModel) and soundness gates support
   /// and reports the level that actually ran in CheckResult::reduction.
   Reduction reduction = Reduction::kNone;
-  /// Soft cap on resident frontier bytes; sealed frontier segments past it
-  /// spill to temp files and stream back level-by-level. 0 = unlimited.
-  std::uint64_t frontier_budget_bytes = 0;
 };
 
 /// The single result shape every checker returns.
@@ -126,10 +124,9 @@ struct CheckResult {
   std::uint64_t graph_bytes = 0;  ///< CSR reachable-graph footprint (0 if
                                   ///< the model has no analyze hook)
   Reduction reduction = Reduction::kNone;  ///< reduction level actually run
-  std::uint64_t frontier_peak_bytes = 0;   ///< peak resident frontier bytes
-  std::uint64_t spilled_bytes = 0;  ///< frontier bytes written to temp files
-                                    ///< (timing-dependent; 0 unless a
-                                    ///< frontier_budget_bytes was binding)
+  std::uint64_t frontier_peak_bytes = 0;   ///< peak frontier: 4 bytes a
+                                           ///< code over the largest two
+                                           ///< consecutive levels
 
   bool ok() const { return verdict == Verdict::kOk; }
 };

@@ -21,11 +21,13 @@
 //  * optionally, a nondeterministic subject crash that freezes s_0/s_1.
 //
 // `McOptions::pairs = 2` composes two independent ordered pairs side by
-// side in one packed state and explores every interleaving of the product
-// — the reachable space is exactly the product of the per-pair spaces,
-// which both scales the exploration workload and machine-checks that the
-// lemma lattice survives composition (the full extraction runs N(N-1) such
-// pairs concurrently).
+// side in one packed state and explores every interleaving of the product.
+// Pairs share no variables, so the two-pair space is, by construction, the
+// one-pair space squared (516,961 = 719², ..., 8,340,544 = 2,888²), and a
+// two-pair check can fail only if a one-pair check does: it exercises the
+// engine at scale, and shows nothing about composition. (In the live
+// extraction the N(N-1) pairs do interact: they share processes, scheduler
+// steps and crashes.)
 //
 // Checked on every reachable state (per pair):
 //  * Lemma 2:  s_i not eating  =>  ping_i = true

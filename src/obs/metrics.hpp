@@ -4,8 +4,8 @@
 //
 // Concurrency model (the same single-writer/atomic-reader discipline as the
 // mc seen-set): every writing thread owns a Scope, a fixed-size shard of
-// plain uint64 cells written through relaxed std::atomic_ref stores by that
-// one thread only. The hot path — Scope::add / Scope::observe — is a bounds
+// plain uint64 cells written through relaxed std::atomic_ref stores by one
+// writer at a time. The hot path — Scope::add / Scope::observe — is a bounds
 // check plus one relaxed load+store into the owned shard: no locks, no heap
 // allocation, no cross-thread cache-line traffic. The registry mutex guards
 // only the cold paths (metric registration, scope birth/death, snapshot),
@@ -151,8 +151,11 @@ struct Snapshot {
 
 /// One writer thread's shard handle. Construct against a Registry, hold it
 /// for the lifetime of the instrumented work, let the destructor retire the
-/// shard (its totals fold into the registry). A Scope must only be written
-/// by the thread that uses it; distinct threads take distinct Scopes.
+/// shard (its totals fold into the registry). A Scope has one writer at a
+/// time: threads that write concurrently take distinct Scopes. Threads may
+/// take turns on one Scope when something orders the turns: the mc
+/// engine's level step is a std::barrier completion step, run by whichever
+/// worker arrives last, and the barrier orders each run after the previous.
 class Scope {
  public:
   explicit Scope(Registry& registry);

@@ -21,10 +21,11 @@ struct Span {
   std::uint64_t arg = 0;  ///< producer-specific (mc: states in the level)
 };
 
-/// Append-only span log. The mc engine's main thread records one span per
-/// BFS level plus a final analyze span; no synchronization is needed
-/// because only one thread appends and readers wait for run_check to
-/// return.
+/// Append-only span log. The mc engine's level step records one span per
+/// BFS level and the calling thread a final analyze span; no lock is
+/// needed because the barrier that runs the level step orders every
+/// append after the previous one (obs::Scope), and readers wait for
+/// run_check to return.
 struct SpanLog {
   std::vector<Span> spans;
   void record(std::string name, std::uint32_t track, double start_ms,

@@ -56,8 +56,9 @@ bool to_mc_instance(const Scenario& scenario, McInstance* out,
       // pair has no successors by design).
       out->options.check_deadlock = !out->options.allow_crash;
       // The full extraction over n >= 3 runs many ordered pairs
-      // concurrently; compose two in one state to machine-check that the
-      // lemma lattice survives composition.
+      // concurrently; compose two in one state. The two-pair space is the
+      // one-pair space squared, so its verdict is the one-pair verdict;
+      // what the second pair adds is a check at the engine's scale.
       out->options.pairs =
           config.target == fuzz::TargetKind::kExtraction && config.n >= 3 ? 2
                                                                           : 1;

@@ -113,9 +113,10 @@ TEST(Differential, SingleInstanceAblationBothStacksFail) {
 }
 
 TEST(Differential, ComposedPairsMatchSimulatedFullExtraction) {
-  // Two independent ordered pairs composed in one mc state — the lemma
-  // lattice survives composition (the full extraction runs N(N-1) pairs);
-  // the real N=3 extraction must grade clean with a live detector.
+  // Two independent ordered pairs composed in one mc state: the space is
+  // the one-pair space squared, so the mc verdict is the one-pair verdict
+  // by construction. The real N=3 extraction, whose pairs share processes,
+  // must grade clean with a live detector.
   const scenario::Scenario s = load_vector("v06_composed_pairs");
   scenario::McInstance instance;
   std::string error;

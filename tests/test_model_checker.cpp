@@ -11,14 +11,14 @@
 #include <bit>
 #include <cerrno>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <functional>
+#include <map>
+#include <mutex>
 #include <set>
 #include <span>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -28,10 +28,7 @@
 #include "mc/reduction_model.hpp"
 
 #if defined(__linux__)
-#include <dirent.h>
 #include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
 #endif
 
 namespace wfd::mc {
@@ -918,258 +915,178 @@ TEST(PairTable, CachedBlocksMatchDirectComputation) {
   }
 }
 
-// --- the spillable frontier ------------------------------------------------
+// --- the frontier's expansion order ---------------------------------------
 
-// A 1-byte budget forces every sealed frontier segment to disk; the
-// exploration must come back byte-identical to the unlimited run. Named
-// under ParallelEngine so the TSan-instrumented binary picks these up.
-TEST(ParallelEngine, SpillPreservesCountsAndVerdict) {
-  const GridModel model{.side = 64};
-  const CheckResult base = run_check(model, {.threads = 1});
-  ASSERT_TRUE(base.ok());
-  EXPECT_EQ(base.spilled_bytes, 0u);
-  EXPECT_GT(base.frontier_peak_bytes, 0u);
-  for (const int threads : {1, 4}) {
-    const CheckResult spilled =
-        run_check(model, {.threads = threads, .frontier_budget_bytes = 1});
-    EXPECT_EQ(spilled.states, base.states) << "threads=" << threads;
-    EXPECT_EQ(spilled.transitions, base.transitions);
-    EXPECT_EQ(spilled.depth, base.depth);
-    EXPECT_EQ(spilled.verdict, base.verdict);
-    EXPECT_GT(spilled.spilled_bytes, 0u)
-        << "a 1-byte budget must actually spill";
-  }
-}
-
-TEST(ParallelEngine, SpillComposesWithReductions) {
-  McOptions options;  // exclusive one-pair: small but real
-  const CheckResult base =
-      check_reduction(options, {.threads = 2,
-                                .reduction = Reduction::kSymmetry});
-  ASSERT_TRUE(base.ok()) << base.counterexample;
-  const CheckResult spilled =
-      check_reduction(options, {.threads = 2,
-                                .reduction = Reduction::kSymmetry,
-                                .frontier_budget_bytes = 1});
-  EXPECT_EQ(spilled.states, base.states);
-  EXPECT_EQ(spilled.transitions, base.transitions);
-  EXPECT_EQ(spilled.depth, base.depth);
-  EXPECT_EQ(spilled.verdict, base.verdict);
-  EXPECT_GT(spilled.spilled_bytes, 0u);
-}
-
-#if WFD_MC_FRONTIER_CAN_SPILL
-// The spill read-back helper reports what stopped it instead of returning
-// a partly filled buffer: a descriptor that cannot pread, and a file
-// shorter than the request.
-TEST(ParallelEngine, SpillReadReportsPipeAndShortFile) {
-  std::uint64_t words[4] = {};
-  int fds[2];
-  ASSERT_EQ(::pipe(fds), 0);
-  EXPECT_EQ(detail::pread_exact(fds[0], words, sizeof words, 0),
-            std::strerror(ESPIPE));
-  ::close(fds[0]);
-  ::close(fds[1]);
-
-  std::FILE* file = std::tmpfile();
-  ASSERT_NE(file, nullptr);
-  const std::uint64_t word = 42;
-  ASSERT_EQ(std::fwrite(&word, sizeof word, 1, file), 1u);
-  ASSERT_EQ(std::fflush(file), 0);
-  EXPECT_EQ(detail::pread_exact(::fileno(file), words, sizeof words, 0),
-            "end of file after 8 of 32 bytes");
-  EXPECT_EQ(detail::pread_exact(::fileno(file), words, sizeof word, 0), "");
-  EXPECT_EQ(words[0], word);
-  std::fclose(file);
-}
-#endif
-
-#if defined(__linux__)
-// A complete binary tree (heap-numbered codes) whose last level, 16384
-// leaves, spans four spilled segments; checking the first leaf truncates
-// every spill file the check opened, so the level's later chunks read end
-// of file. The check must stop on that, not expand the stale scratch
-// buffer.
-struct TruncatingTreeModel {
+// A heap-numbered complete binary tree: node i's children are 2i + 1 and
+// 2i + 2 while they are below `nodes`, so every level but the last is full
+// and `nodes` sets the last one's size. check_state logs which thread
+// checked which code, in the order each thread checked them.
+struct TreeModel {
   struct State {
     std::uint64_t bits = 0;
   };
-  static constexpr std::uint64_t kFirstLeaf = (1u << 14) - 1;
-  std::set<int> fds_before;
-  mutable bool truncated = false;
+  std::uint64_t nodes = 1;
+  mutable std::mutex mu;
+  mutable std::vector<std::pair<std::thread::id, std::uint64_t>> checked;
 
-  int code_bits() const { return 15; }  // the last leaf is 2^15 - 2
+  int code_bits() const {
+    return static_cast<int>(std::bit_width(nodes - 1));
+  }
   std::vector<State> initial_states() const { return {State{0}}; }
   template <class Emit>
   void successors(const State& st, Emit&& emit) const {
-    if (st.bits >= kFirstLeaf) return;
-    emit(State{2 * st.bits + 1}, kLabelNone);
-    emit(State{2 * st.bits + 2}, kLabelNone);
+    for (const std::uint64_t child : {2 * st.bits + 1, 2 * st.bits + 2}) {
+      if (child < nodes) emit(State{child}, kLabelNone);
+    }
   }
   std::string check_state(const State& st) const {
-    if (st.bits >= kFirstLeaf && !truncated) {
-      truncated = true;
-      for (const int fd : open_fds()) {
-        struct stat info {};
-        if (fds_before.count(fd) == 0 && ::fstat(fd, &info) == 0 &&
-            S_ISREG(info.st_mode) && info.st_nlink == 0) {
-          EXPECT_EQ(::ftruncate(fd, 0), 0);  // an unlinked spill file
-        }
-      }
-    }
+    const std::lock_guard<std::mutex> lock(mu);
+    checked.emplace_back(std::this_thread::get_id(), st.bits);
     return {};
   }
   std::string describe(const State& st) const {
     return std::to_string(st.bits);
   }
 
-  /// The process's open descriptors, not counting the directory stream
-  /// that lists them: its number is free again once this returns, and the
-  /// check's first spill file may take it.
-  static std::set<int> open_fds() {
-    std::set<int> fds;
-    DIR* dir = ::opendir("/proc/self/fd");
-    if (dir == nullptr) return fds;
-    while (const dirent* entry = ::readdir(dir)) {
-      if (entry->d_name[0] == '.') continue;
-      const int fd = std::atoi(entry->d_name);
-      if (fd != ::dirfd(dir)) fds.insert(fd);
-    }
-    ::closedir(dir);
-    return fds;
+  static std::size_t level_of(std::uint64_t code) {
+    return static_cast<std::size_t>(std::bit_width(code + 1)) - 1;
   }
 };
 
-static_assert(Model<TruncatingTreeModel>);
+static_assert(Model<TreeModel>);
 
-TEST(ParallelEngine, SpillReadFailureStopsTheCheck) {
-  TruncatingTreeModel model;
-  model.fds_before = TruncatingTreeModel::open_fds();
-  const CheckResult result =
-      run_check(model, {.threads = 1, .frontier_budget_bytes = 1});
-  ASSERT_TRUE(model.truncated);
-  EXPECT_EQ(result.verdict, Verdict::kViolation);
-  EXPECT_EQ(result.counterexample.rfind(
-                "engine error: frontier spill read failed", 0),
-            0u)
-      << result.counterexample;
-  EXPECT_NE(result.counterexample.find("end of file"), std::string::npos);
-  EXPECT_GT(result.spilled_bytes, 0u);
+// The order a FIFO-queue BFS visits the model's codes in.
+std::vector<std::uint64_t> fifo_bfs(const TreeModel& model) {
+  std::vector<std::uint64_t> order;
+  std::set<std::uint64_t> seen;
+  for (const TreeModel::State& s : model.initial_states()) {
+    if (seen.insert(s.bits).second) order.push_back(s.bits);
+  }
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    model.successors(TreeModel::State{order[i]},
+                     [&](const TreeModel::State& next, std::uint8_t) {
+                       if (seen.insert(next.bits).second) {
+                         order.push_back(next.bits);
+                       }
+                     });
+  }
+  return order;
 }
-#endif
+
+// Whether every thread checked each level's codes in the order the engine
+// hands out its chunks, if `workers` lists the threads in worker order. A
+// part of a level is one worker's finds: the codes whose parents it
+// expanded, in the order it expanded them, each parent's children in code
+// order. A thread takes its own part first, then the part of each other
+// worker in turn (its index + 1, + 2, ... modulo the worker count), each
+// in order. So a code's place, for the thread that checks it, is (how many
+// turns after its own part the finder's part comes, where the code's
+// parent sits in the finder's part of the level before, the code).
+bool checked_in_claim_order(
+    const std::vector<std::pair<std::thread::id, std::uint64_t>>& checked,
+    const std::vector<std::thread::id>& workers) {
+  using Place = std::tuple<std::size_t, std::size_t, std::uint64_t>;
+  const auto index_of = [&](std::thread::id thread) {
+    return static_cast<std::size_t>(
+        std::find(workers.begin(), workers.end(), thread) - workers.begin());
+  };
+  std::map<std::uint64_t, std::pair<std::size_t, std::size_t>> expanded;
+  std::map<std::thread::id, std::vector<std::size_t>> parts;  // per level
+  for (const auto& [thread, code] : checked) {
+    std::vector<std::size_t>& part = parts[thread];
+    const std::size_t level = TreeModel::level_of(code);
+    if (part.size() <= level) part.resize(level + 1);
+    expanded[code] = {index_of(thread), part[level]++};
+  }
+  std::map<std::thread::id, Place> last;
+  for (const auto& [thread, code] : checked) {
+    if (code == 0) continue;
+    const auto [finder, rank] = expanded.at((code - 1) / 2);
+    const std::size_t turn =
+        (finder + workers.size() - index_of(thread)) % workers.size();
+    const Place place{turn, rank, code};
+    const auto previous = last.find(thread);
+    if (previous != last.end() &&
+        TreeModel::level_of(std::get<2>(previous->second)) ==
+            TreeModel::level_of(code) &&
+        !(previous->second < place)) {
+      return false;
+    }
+    last[thread] = place;
+  }
+  return true;
+}
+
+// The frontier's order contract, at the engine. One worker checks (and so
+// expands) every state in the order a FIFO BFS visits it; with three
+// workers every level is the same set, and each thread checks its codes in
+// the order the engine hands out chunks: its own finds first, then each
+// other worker's in turn, each in the order they were found. The trees'
+// last levels are 4096 codes (one whole block) then 4097 (a block and one
+// code), and 8192 then 16384 (two, then four whole blocks). ParallelEngine
+// name = sanitizer coverage.
+TEST(ParallelEngine, LevelsExpandInDiscoveryOrder) {
+  for (const std::uint64_t nodes :
+       {std::uint64_t{8191 + 4097}, std::uint64_t{32767}}) {
+    const std::vector<std::uint64_t> reference = [&] {
+      TreeModel model;
+      model.nodes = nodes;
+      return fifo_bfs(model);
+    }();
+    std::map<std::size_t, std::set<std::uint64_t>> levels;
+    for (const std::uint64_t code : reference) {
+      levels[TreeModel::level_of(code)].insert(code);
+    }
+
+    TreeModel one;
+    one.nodes = nodes;
+    const CheckResult single = run_check(one, {.threads = 1});
+    ASSERT_TRUE(single.ok()) << single.counterexample;
+    EXPECT_EQ(single.states, nodes);
+    EXPECT_EQ(single.depth, levels.size() - 1);
+    std::vector<std::uint64_t> order;
+    for (const auto& [thread, code] : one.checked) order.push_back(code);
+    EXPECT_EQ(order, reference) << "nodes=" << nodes;
+
+    TreeModel three;
+    three.nodes = nodes;
+    const CheckResult parallel = run_check(three, {.threads = 3});
+    ASSERT_TRUE(parallel.ok()) << parallel.counterexample;
+    EXPECT_EQ(parallel.states, single.states);
+    EXPECT_EQ(parallel.transitions, single.transitions);
+    EXPECT_EQ(parallel.depth, single.depth);
+    ASSERT_EQ(three.checked.size(), reference.size());
+    std::map<std::size_t, std::set<std::uint64_t>> parallel_levels;
+    for (const auto& [thread, code] : three.checked) {
+      parallel_levels[TreeModel::level_of(code)].insert(code);
+    }
+    EXPECT_EQ(parallel_levels, levels) << "nodes=" << nodes;
+
+    // The caller is worker 0; the pool threads' indices are not visible,
+    // so some order of them must explain every thread's checks. A pool
+    // thread that checked nothing still has an index: a default id holds
+    // its place.
+    std::vector<std::thread::id> pool;
+    for (const auto& [thread, code] : three.checked) {
+      if (thread != std::this_thread::get_id() &&
+          std::find(pool.begin(), pool.end(), thread) == pool.end()) {
+        pool.push_back(thread);
+      }
+    }
+    ASSERT_LE(pool.size(), 2u);
+    pool.resize(2);
+    std::sort(pool.begin(), pool.end());
+    bool explained = false;
+    do {
+      std::vector<std::thread::id> workers{std::this_thread::get_id()};
+      workers.insert(workers.end(), pool.begin(), pool.end());
+      explained = explained || checked_in_claim_order(three.checked, workers);
+    } while (std::next_permutation(pool.begin(), pool.end()));
+    EXPECT_TRUE(explained) << "nodes=" << nodes;
+  }
+}
 
 // --- the codec and seen-set, directly ---------------------------------------
-
-// Widths 20-24 are the two-pair reduction's codes; 8, 16, 32, 56 and 64
-// fill whole bytes. Besides 1000 codes, each width runs lengths that end
-// exactly on a word boundary (and one code to either side), where the last
-// code's 8-byte load reaches into the pad. The reads also go through an
-// exact copy of the words plus the pad, as a frontier segment holds them,
-// so a load past the pad leaves the buffer.
-TEST(Codec, PackedCodeVectorRoundTripsAcrossWordBoundaries) {
-  for (const int width : {1, 7, 8, 16, 20, 22, 24, 26, 32, 52, 56, 63, 64}) {
-    // Codes per whole number of words: 8 / gcd(bytes per code, 8).
-    const std::size_t aligned =
-        std::size_t{8} >>
-        std::countr_zero(static_cast<unsigned>(
-            PackedCodeVector::bytes_per_code(width) | 8));
-    for (const std::size_t count :
-         {std::size_t{1000}, aligned - 1, aligned, aligned + 1,
-          2 * aligned - 1, 2 * aligned, 2 * aligned + 1}) {
-      PackedCodeVector vec(width);
-      std::vector<std::uint64_t> expect;
-      std::uint64_t x = 0x243f6a8885a308d3ull;  // arbitrary nonzero seed
-      for (std::size_t i = 0; i < count; ++i) {
-        x = x * 6364136223846793005ull + 1442695040888963407ull;
-        const std::uint64_t code = x & code_mask(width);
-        expect.push_back(code);
-        vec.push_back(code);
-      }
-      ASSERT_EQ(vec.size(), expect.size());
-      EXPECT_EQ(vec.word_count(), PackedCodeVector::words_for(count, width))
-          << "width=" << width << " count=" << count;
-      EXPECT_EQ(vec.words()[vec.word_count()], 0u) << "the pad is zero";
-      const std::vector<std::uint64_t> exact(
-          vec.words(), vec.words() + vec.word_count() + 1);
-      for (std::size_t i = 0; i < expect.size(); ++i) {
-        EXPECT_EQ(vec[i], expect[i])
-            << "width=" << width << " count=" << count << " i=" << i;
-        // The static reader is what spilled segments are decoded with.
-        EXPECT_EQ(PackedCodeVector::read(exact.data(), width, i), expect[i]);
-      }
-    }
-  }
-}
-
-// The frontier's order contract: a lane reads back in push order. One
-// producer's codes, across several segments and two levels, come back
-// chunk by chunk exactly as pushed, in memory and with every segment
-// spilled; with three producers, each lane's codes come back contiguous
-// and in push order, lanes in producer order, whatever order they sealed
-// in. (ParallelEngine name = sanitizer coverage.)
-TEST(ParallelEngine, FrontierLanesReadBackInPushOrder) {
-  using detail::SpillableFrontier;
-  constexpr int kWidth = 22;
-  constexpr std::size_t kSegment = SpillableFrontier::kSegmentCodes;
-  const auto code_for = [](std::size_t lane, std::size_t i) {
-    return ((lane + 1) * 0x9e3779b97f4a7c15ull * (i + 1)) >> (64 - kWidth);
-  };
-  const auto read_level = [](SpillableFrontier& frontier) {
-    frontier.begin_level(/*chunk_codes=*/1000);
-    std::vector<std::uint64_t> codes;
-    std::vector<std::uint64_t> scratch;
-    for (std::size_t c = 0; c < frontier.chunk_count(); ++c) {
-      const SpillableFrontier::View view = frontier.resolve(c, scratch);
-      EXPECT_EQ(view.error, "") << "chunk " << c;
-      for (std::size_t i = view.begin; i < view.end; ++i) {
-        codes.push_back(PackedCodeVector::read(view.words, kWidth, i));
-      }
-    }
-    EXPECT_EQ(codes.size(), frontier.level_size());
-    return codes;
-  };
-
-  for (const std::uint64_t budget : {std::uint64_t{0}, std::uint64_t{1}}) {
-    SpillableFrontier frontier(kWidth, budget, /*lanes=*/1);
-    SpillableFrontier::Producer producer(&frontier, 0);
-    // Ten whole segments and a partial one: more segments than the eight
-    // partitions a round-robin layout would deal them to.
-    for (const std::size_t level : {std::size_t{0}, std::size_t{1}}) {
-      std::vector<std::uint64_t> pushed;
-      for (std::size_t i = 0; i < 10 * kSegment + 123; ++i) {
-        pushed.push_back(code_for(level, i));
-        producer.push(pushed.back());
-      }
-      producer.flush();
-      EXPECT_EQ(read_level(frontier), pushed)
-          << "budget=" << budget << " level=" << level;
-    }
-    EXPECT_EQ(frontier.spilled_bytes() > 0, budget != 0);
-  }
-
-  for (const std::uint64_t budget : {std::uint64_t{0}, std::uint64_t{1}}) {
-    SpillableFrontier frontier(kWidth, budget, /*lanes=*/3);
-    std::vector<SpillableFrontier::Producer> producers;
-    for (int lane = 0; lane < 3; ++lane) {
-      producers.emplace_back(&frontier, lane);
-    }
-    const std::size_t counts[3] = {2 * kSegment + 5, kSegment + 1, 3};
-    std::vector<std::uint64_t> expect;
-    for (std::size_t lane = 0; lane < 3; ++lane) {
-      for (std::size_t i = 0; i < counts[lane]; ++i) {
-        expect.push_back(code_for(lane, i));
-      }
-    }
-    // Interleaved pushes, so the lanes' seals interleave too.
-    for (std::size_t i = 0; i < counts[0]; ++i) {
-      for (std::size_t lane = 0; lane < 3; ++lane) {
-        if (i < counts[lane]) producers[lane].push(code_for(lane, i));
-      }
-    }
-    for (int lane = 2; lane >= 0; --lane) producers[lane].flush();
-    EXPECT_EQ(read_level(frontier), expect) << "budget=" << budget;
-  }
-}
 
 TEST(Codec, DeltaEdgeLogRoundTripsEdges) {
   DeltaEdgeLog log;

@@ -6,6 +6,7 @@
 // .repro through the capture + export + validate path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <map>
 #include <sstream>
@@ -347,38 +348,35 @@ TEST(McObs, CountersMatchResultAndSpansCoverEveryLevel) {
   EXPECT_TRUE(obs::validate_trace_json(out.str(), nullptr, &why)) << why;
 }
 
-// The frontier gauges mirror CheckResult::frontier_peak_bytes /
-// spilled_bytes exactly; a 1-byte budget forces the spill path so both are
-// nonzero.
+// The frontier gauge mirrors CheckResult::frontier_peak_bytes, which is 4
+// bytes a code over the largest two consecutive levels: a level and the
+// codes found from it are resident together. The level sizes come from the
+// level spans; the last level pairs with the empty one after it.
 TEST(McObs, FrontierGaugesMatchResult) {
-  const auto check_gauges = [](std::uint64_t budget) {
-    obs::Registry registry;
-    mc::CheckOptions options;
-    options.threads = 2;
-    options.metrics = &registry;
-    options.frontier_budget_bytes = budget;
-    const mc::CheckResult result =
-        mc::check_gkk(mc::GkkBoxSemantics::kLockout, options);
-    ASSERT_TRUE(result.ok()) << result.counterexample;
-    const obs::Snapshot snap = registry.snapshot();
-    const obs::Snapshot::Gauge* peak =
-        snap.find_gauge("mc.frontier_peak_bytes");
-    ASSERT_NE(peak, nullptr);
-    EXPECT_EQ(peak->value, static_cast<double>(result.frontier_peak_bytes));
-    const obs::Snapshot::Gauge* spilled = snap.find_gauge("mc.spilled_bytes");
-    ASSERT_NE(spilled, nullptr);
-    EXPECT_EQ(spilled->value, static_cast<double>(result.spilled_bytes));
-    if (budget == 0) {
-      // Unlimited: everything stays resident, nothing spills.
-      EXPECT_GT(result.frontier_peak_bytes, 0u);
-      EXPECT_EQ(result.spilled_bytes, 0u);
-    } else {
-      // A 1-byte budget spills every sealed segment (resident peak 0).
-      EXPECT_GT(result.spilled_bytes, 0u);
-    }
-  };
-  check_gauges(/*budget=*/0);
-  check_gauges(/*budget=*/1);
+  obs::Registry registry;
+  obs::SpanLog spans;
+  mc::CheckOptions options;
+  options.threads = 2;
+  options.metrics = &registry;
+  options.spans = &spans;
+  const mc::CheckResult result =
+      mc::check_gkk(mc::GkkBoxSemantics::kLockout, options);
+  ASSERT_TRUE(result.ok()) << result.counterexample;
+  const obs::Snapshot snap = registry.snapshot();
+  const obs::Snapshot::Gauge* peak = snap.find_gauge("mc.frontier_peak_bytes");
+  ASSERT_NE(peak, nullptr);
+  EXPECT_EQ(peak->value, static_cast<double>(result.frontier_peak_bytes));
+
+  std::uint64_t widest_pair = 0;
+  std::uint64_t previous = 0;
+  for (const obs::Span& span : spans.spans) {
+    if (span.name.rfind("level ", 0) != 0) continue;
+    widest_pair = std::max(widest_pair, previous + span.arg);
+    previous = span.arg;
+  }
+  widest_pair = std::max(widest_pair, previous);
+  EXPECT_GT(widest_pair, 1u);
+  EXPECT_EQ(result.frontier_peak_bytes, 4 * widest_pair);
 }
 
 TEST(McObs, InstrumentationNeverChangesTheExploration) {
