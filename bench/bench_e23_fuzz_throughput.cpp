@@ -1,37 +1,20 @@
-// E23 — fuzz-campaign throughput: prefix snapshotting vs cold replay.
-// Three sections, each an honest back-to-back pre/post pair run in one
-// process invocation (pre = every variant replayed cold from t=0, post =
-// the snapshot runner from fuzz/snapshot.hpp):
+// E23 — fuzz-campaign throughput: runway milestone grading vs cold replay.
+// One honest back-to-back pre/post pair run in one process invocation:
 //
-//   runway        one dining config graded at K step milestones clustered
-//                 near the horizon. Cold pays K full engine runs; the
-//                 runway runner advances ONE engine and grades read-only
-//                 at each milestone, so the whole family costs about one
-//                 run of the longest variant. This is the regime the
-//                 >= 10x acceptance floor binds on (min_speedup_factor in
-//                 the emitted rows; recorded full runs live in
-//                 BENCH_e23.json at the repo root).
+//   runway   one dining config graded at K step milestones clustered near
+//            the horizon. Pre replays every variant cold from t=0 and pays
+//            K full engine runs; post is the family runner from
+//            fuzz/snapshot.hpp, which advances ONE engine and grades
+//            read-only at each milestone, so the whole family costs about
+//            one run of the longest variant. This is the regime the >= 10x
+//            acceptance floor binds on (min_speedup_factor in the emitted
+//            rows; recorded full runs live in BENCH_e23.json at the repo
+//            root).
 //
-//   crash_suffix  one dining config, K variants each appending its own
-//                 late crash to a shared stem. Cold pays K full runs; the
-//                 fork-server runner advances one engine to just before
-//                 the first divergent crash and fork()s per variant, so
-//                 the shared prefix is paid once and each child only
-//                 replays the short suffix.
-//
-//   campaign      the whole evolutionary loop (run_evolve_campaign) with
-//                 snapshotting off vs on — same seed, same plans, so the
-//                 pair also re-checks the bit-identity contract end to
-//                 end (coverage bitmap, corpus signatures, failure count)
-//                 before comparing runs/s. Family draws are a minority of
-//                 campaign slots, so the end-to-end speedup is modest by
-//                 design; the per-regime sections above isolate the
-//                 mechanism.
-//
-// Both snapshot paths are pinned bit-identical to cold replay by
+// The milestone path is pinned bit-identical to cold replay by
 // tests/test_fuzz_evolve.cpp over the conformance-vector corpus; this
-// bench re-asserts identity on its own families before timing anything,
-// so a speedup can never be bought with a wrong result.
+// bench re-asserts identity on its own family before timing anything, so
+// a speedup can never be bought with a wrong result.
 //
 // Usage: bench_e23_fuzz_throughput [--quick] [--seeds A[:B]] [--json FILE]
 #include <chrono>
@@ -42,7 +25,6 @@
 
 #include "bench_util.hpp"
 #include "fuzz/config.hpp"
-#include "fuzz/evolve.hpp"
 #include "fuzz/fuzzer.hpp"
 #include "fuzz/mutators.hpp"
 #include "fuzz/snapshot.hpp"
@@ -57,9 +39,9 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// A normalized, crash-free dining base config sized to `steps`. All three
-/// sections mutate copies of this, so the pre/post pairs within a section
-/// time exactly the same schedule shapes.
+/// A normalized, crash-free dining base config sized to `steps`; the
+/// family's variants are copies of it, so pre and post time exactly the
+/// same schedule shapes.
 fuzz::FuzzConfig base_config(std::uint64_t seed, std::uint64_t steps) {
   fuzz::FuzzConfig config =
       fuzz::normalize(fuzz::sample_config(seed, 0, {fuzz::TargetKind::kDining}));
@@ -88,33 +70,24 @@ fuzz::MutationPlan runway_plan(const fuzz::FuzzConfig& base,
   return plan;
 }
 
-/// Crash-suffix family: K copies of the base, each appending one crash in
-/// the last ~2% of the run (shared prefix = everything before it).
-fuzz::MutationPlan crash_suffix_plan(const fuzz::FuzzConfig& base,
-                                     std::uint32_t family) {
-  fuzz::MutationPlan plan;
-  plan.mutator = "bench_crash_suffix";
-  plan.crash_suffix_family = true;
-  const sim::Time tail = base.steps / 50 < 64 ? 64 : base.steps / 50;
-  for (std::uint32_t i = 0; i < family; ++i) {
-    fuzz::FuzzConfig variant = base;
-    variant.crashes.push_back(
-        {static_cast<sim::ProcessId>(i % base.n), base.steps - tail + i});
-    plan.variants.push_back(fuzz::normalize(variant));
-  }
-  return plan;
-}
-
 struct FamilyTiming {
   double seconds = 0;
   std::vector<fuzz::FamilyResult> results;
   fuzz::SnapshotStats stats;
 };
 
-FamilyTiming time_family(const fuzz::MutationPlan& plan, bool allow_snapshot) {
+/// Grade `plan` through the family runner, or replay every variant cold
+/// from t=0 (the pre side).
+FamilyTiming time_family(const fuzz::MutationPlan& plan, bool cold) {
   FamilyTiming timing;
   const auto start = std::chrono::steady_clock::now();
-  timing.results = fuzz::run_family(plan, allow_snapshot, &timing.stats);
+  if (cold) {
+    for (const fuzz::FuzzConfig& variant : plan.variants) {
+      timing.results.push_back(fuzz::cold_family_run(variant));
+    }
+  } else {
+    timing.results = fuzz::run_family(plan, &timing.stats);
+  }
   timing.seconds = seconds_since(start);
   return timing;
 }
@@ -132,28 +105,6 @@ bool same_results(const std::vector<fuzz::FamilyResult>& a,
     }
   }
   return true;
-}
-
-struct CampaignTiming {
-  double seconds = 0;
-  fuzz::EvolveResult result;
-};
-
-CampaignTiming time_campaign(std::uint64_t seed, std::uint64_t generations,
-                             std::uint32_t gen_size, bool snapshot) {
-  fuzz::EvolveOptions options;
-  options.master_seed = seed;
-  options.generations = generations;
-  options.generation_size = gen_size;
-  options.max_family = 8;
-  options.snapshot = snapshot;
-  options.shrink = false;
-  options.targets = fuzz::legal_targets();
-  CampaignTiming timing;
-  const auto start = std::chrono::steady_clock::now();
-  timing.result = fuzz::run_evolve_campaign(options);
-  timing.seconds = seconds_since(start);
-  return timing;
 }
 
 }  // namespace
@@ -174,127 +125,62 @@ int main(int argc, char** argv) {
       parse_cli(static_cast<int>(args.size()), args.data(), "bench_e23");
   const std::uint64_t seed = options.seeds(0x23).front();
 
-  banner("E23 — fuzz-campaign throughput: prefix snapshots vs cold replay",
+  banner("E23 — fuzz-campaign throughput: runway milestones vs cold replay",
          "Claim: runway milestone grading turns K graded runs into ~1 engine\n"
-         "pass (>= 10x runs/s), crash-suffix forking pays the shared prefix\n"
-         "once, and the evolve campaign inherits both — bit-identically to\n"
-         "cold replay in every case.");
+         "pass (>= 10x runs/s), bit-identically to cold replay.");
 
   ShapeCheck check;
   JsonRows rows;
 
   const std::uint64_t steps = quick ? 60'000 : 400'000;
   const std::uint32_t family = quick ? 16 : 24;
-  const fuzz::FuzzConfig base = base_config(seed, steps);
+  // The runway floor is the E23 acceptance criterion; quick mode keeps a
+  // real floor but leaves headroom for small-step noise.
+  const double min_speedup = quick ? 5.0 : 10.0;
+  const fuzz::MutationPlan plan = runway_plan(base_config(seed, steps), family);
 
   std::printf("%-14s %10s %8s %6s %10s %12s %10s\n", "section", "execution",
               "steps", "runs", "seconds", "runs/sec", "speedup");
 
-  struct SectionFloor {
-    const char* name;
-    fuzz::MutationPlan plan;
-    double min_speedup;
-  };
-  SectionFloor sections[] = {
-      // The runway floor is the E23 acceptance criterion; quick mode keeps
-      // a real floor but leaves headroom for small-step noise.
-      {"runway", runway_plan(base, family), quick ? 5.0 : 10.0},
-      // Forked children pay a copy-on-write fault for every inherited
-      // engine page they dirty (the transit wheel advances through fresh
-      // pages, so the bill scales with the suffix length), which caps the
-      // crash-suffix win well below the runway's — the floor claims the
-      // fork is a real win, not a 10x one.
-      {"crash_suffix", crash_suffix_plan(base, family), quick ? 1.15 : 1.5},
-  };
-  for (SectionFloor& section : sections) {
-    const FamilyTiming cold = time_family(section.plan, false);
-    const FamilyTiming snap = time_family(section.plan, true);
-    check.expect(cold.results.size() == section.plan.variants.size(),
-                 std::string(section.name) + ": cold graded every variant");
-    check.expect(same_results(cold.results, snap.results),
-                 std::string(section.name) +
-                     ": snapshot results are bit-identical to cold replay");
-    // The runner must actually have taken the fast path — a family-shape
-    // regression that silently falls back cold shows up here, not as a
-    // mysterious speedup miss.
-    const bool resumed = section.plan.runway_family
-                             ? snap.stats.milestone_runs + 1 ==
-                                   section.plan.variants.size()
-                             : snap.stats.forked_runs ==
-                                   section.plan.variants.size();
-    check.expect(resumed, std::string(section.name) +
-                              ": snapshot path served the whole family");
-    const double runs = static_cast<double>(section.plan.variants.size());
-    const double cold_rps = runs / cold.seconds;
-    const double snap_rps = runs / snap.seconds;
-    const double speedup = snap_rps / cold_rps;
-    check.expect(speedup >= section.min_speedup,
-                 std::string(section.name) + ": snapshot runs/s >= " +
-                     std::to_string(section.min_speedup) + "x cold");
-    for (const bool snapshot : {false, true}) {
-      const FamilyTiming& timing = snapshot ? snap : cold;
-      const double rps = runs / timing.seconds;
-      std::printf("%-14s %10s %8llu %6zu %10.3f %12.1f %9.2fx\n",
-                  section.name, snapshot ? "snapshot" : "cold",
-                  static_cast<unsigned long long>(steps),
-                  section.plan.variants.size(), timing.seconds, rps,
-                  snapshot ? speedup : 1.0);
-      rows.begin_row();
-      rows.field("bench", "e23_fuzz_throughput")
-          .field("section", section.name)
-          .field("execution", snapshot ? "snapshot" : "cold")
-          .field("seed", seed)
-          .field("steps", steps)
-          .field("variants", section.plan.variants.size())
-          .field("runs", section.plan.variants.size())
-          .field("seconds", timing.seconds)
-          .field("runs_per_sec", rps);
-      if (snapshot) {
-        rows.field("speedup_factor", speedup)
-            .field("min_speedup_factor", section.min_speedup);
-      }
-    }
-  }
-
-  // --- campaign: the evolve loop end to end, snapshot off vs on -------------
-  const std::uint64_t generations = quick ? 4 : 6;
-  const std::uint32_t gen_size = quick ? 12 : 14;
-  const CampaignTiming cold = time_campaign(seed, generations, gen_size, false);
-  const CampaignTiming snap = time_campaign(seed, generations, gen_size, true);
-  check.expect(cold.result.stats.coverage_bits ==
-                       snap.result.stats.coverage_bits &&
-                   cold.result.corpus_signatures ==
-                       snap.result.corpus_signatures &&
-                   cold.result.stats.failing == snap.result.stats.failing,
-               "campaign: snapshot mode is bit-identical to cold mode");
-  check.expect(snap.result.stats.milestone_runs +
-                       snap.result.stats.forked_runs >
-                   0,
-               "campaign: snapshot mode actually shared prefixes");
-  const double campaign_speedup =
-      (static_cast<double>(snap.result.stats.executed) / snap.seconds) /
-      (static_cast<double>(cold.result.stats.executed) / cold.seconds);
+  const FamilyTiming cold = time_family(plan, true);
+  const FamilyTiming snap = time_family(plan, false);
+  check.expect(cold.results.size() == plan.variants.size(),
+               "runway: cold graded every variant");
+  check.expect(same_results(cold.results, snap.results),
+               "runway: snapshot results are bit-identical to cold replay");
+  // The runner must actually have taken the fast path — a family-shape
+  // regression that silently falls back cold shows up here, not as a
+  // mysterious speedup miss.
+  check.expect(snap.stats.milestone_runs + 1 == plan.variants.size(),
+               "runway: snapshot path served the whole family");
+  const double runs = static_cast<double>(plan.variants.size());
+  const double cold_rps = runs / cold.seconds;
+  const double snap_rps = runs / snap.seconds;
+  const double speedup = snap_rps / cold_rps;
+  check.expect(speedup >= min_speedup, "runway: snapshot runs/s >= " +
+                                           std::to_string(min_speedup) +
+                                           "x cold");
   for (const bool snapshot : {false, true}) {
-    const CampaignTiming& timing = snapshot ? snap : cold;
-    const double rps =
-        static_cast<double>(timing.result.stats.executed) / timing.seconds;
-    std::printf("%-14s %10s %8s %6llu %10.3f %12.1f %9.2fx\n", "campaign",
-                snapshot ? "snapshot" : "cold", "-",
-                static_cast<unsigned long long>(timing.result.stats.executed),
-                timing.seconds, rps, snapshot ? campaign_speedup : 1.0);
+    const FamilyTiming& timing = snapshot ? snap : cold;
+    const double rps = runs / timing.seconds;
+    std::printf("%-14s %10s %8llu %6zu %10.3f %12.1f %9.2fx\n", "runway",
+                snapshot ? "snapshot" : "cold",
+                static_cast<unsigned long long>(steps), plan.variants.size(),
+                timing.seconds, rps, snapshot ? speedup : 1.0);
     rows.begin_row();
     rows.field("bench", "e23_fuzz_throughput")
-        .field("section", "campaign")
+        .field("section", "runway")
         .field("execution", snapshot ? "snapshot" : "cold")
         .field("seed", seed)
-        .field("generations", generations)
-        .field("gen_size", gen_size)
-        .field("runs", timing.result.stats.executed)
+        .field("steps", steps)
+        .field("variants", plan.variants.size())
+        .field("runs", plan.variants.size())
         .field("seconds", timing.seconds)
-        .field("runs_per_sec", rps)
-        .field("coverage_bits", timing.result.stats.coverage_bits)
-        .field("corpus_size", timing.result.stats.corpus_entries);
-    if (snapshot) rows.field("speedup_factor", campaign_speedup);
+        .field("runs_per_sec", rps);
+    if (snapshot) {
+      rows.field("speedup_factor", speedup)
+          .field("min_speedup_factor", min_speedup);
+    }
   }
 
   if (!options.json_path.empty()) {

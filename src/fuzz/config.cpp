@@ -199,6 +199,10 @@ std::string config_to_json(const FuzzConfig& config, int indent) {
     text << value;
     return text.str();
   };
+  // Doubles take the JSON writer's rule (the shortest text that parses back
+  // to the same double), so a config crosses a shard pipe, a .repro file or
+  // a cache key bit-exactly; `<<` would keep only 6 significant digits.
+  const auto real = [](double value) { return Json::of_double(value).number; };
   field("seed", num(config.seed));
   field("target", quote(to_string(config.target)));
   field("n", num(config.n));
@@ -229,7 +233,7 @@ std::string config_to_json(const FuzzConfig& config, int indent) {
   field("delay", quote(to_string(config.delay)));
   field("delay_min", num(config.delay_min));
   field("delay_max", num(config.delay_max));
-  field("geo_p", num(config.geo_p));
+  field("geo_p", real(config.geo_p));
   field("gst", num(config.gst));
   {
     std::ostringstream list;
@@ -261,8 +265,8 @@ std::string config_to_json(const FuzzConfig& config, int indent) {
   field("member0_burst", num(config.member0_burst));
   field("grant_holdoff", num(config.grant_holdoff));
   field("never_exit_member", num(config.never_exit_member));
-  field("loss_rate", num(config.loss_rate));
-  field("dup_rate", num(config.dup_rate));
+  field("loss_rate", real(config.loss_rate));
+  field("dup_rate", real(config.dup_rate));
   field("dup_spread", num(config.dup_spread));
   field("retransmit_every", num(config.retransmit_every));
   field("retransmit_max", num(config.retransmit_max));

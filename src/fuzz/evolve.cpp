@@ -68,8 +68,7 @@ FuzzConfig guided_sample(std::uint64_t master_seed, std::uint64_t base_index,
 /// caller re-runs missing slots inline, so degraded parallelism can slow a
 /// campaign down but never change its results.
 std::vector<std::vector<FamilyResult>> execute_plans(
-    const std::vector<MutationPlan>& plans, int jobs, bool snapshot,
-    SnapshotStats* stats) {
+    const std::vector<MutationPlan>& plans, int jobs, SnapshotStats* stats) {
   std::vector<std::vector<FamilyResult>> slot_results(plans.size());
   std::vector<bool> done(plans.size(), false);
 
@@ -101,7 +100,7 @@ std::vector<std::vector<FamilyResult>> execute_plans(
              slot += static_cast<std::size_t>(workers)) {
           SnapshotStats ignored;
           const std::vector<FamilyResult> results =
-              run_family(plans[slot], snapshot, &ignored);
+              run_family(plans[slot], &ignored);
           std::string payload;
           wire::put_u64(&payload, slot);
           wire::put_u64(&payload, results.size());
@@ -156,13 +155,7 @@ std::vector<std::vector<FamilyResult>> execute_plans(
         if (!done[slot]) continue;
         ++stats->families;
         for (const FamilyResult& result : slot_results[slot]) {
-          if (!result.resumed) {
-            ++stats->cold_runs;
-          } else if (plans[slot].runway_family) {
-            ++stats->milestone_runs;
-          } else {
-            ++stats->forked_runs;
-          }
+          if (result.resumed) ++stats->milestone_runs; else ++stats->cold_runs;
         }
       }
     }
@@ -173,7 +166,7 @@ std::vector<std::vector<FamilyResult>> execute_plans(
 
   for (std::size_t slot = 0; slot < plans.size(); ++slot) {
     if (done[slot]) continue;
-    slot_results[slot] = run_family(plans[slot], snapshot, stats);
+    slot_results[slot] = run_family(plans[slot], stats);
   }
   return slot_results;
 }
@@ -193,14 +186,13 @@ EvolveResult run_evolve_campaign(
       opts.targets.empty() ? legal_targets() : opts.targets;
 
   obs::Registry::Id m_runs = 0, m_failing = 0, m_novel = 0, m_resumed = 0,
-                    m_forked = 0, m_bits = 0;
+                    m_bits = 0;
   std::unique_ptr<obs::Scope> mscope;
   if (opts.metrics != nullptr) {
     m_runs = opts.metrics->counter("fuzz.evolve.runs");
     m_failing = opts.metrics->counter("fuzz.evolve.failing");
     m_novel = opts.metrics->counter("fuzz.evolve.novel");
     m_resumed = opts.metrics->counter("fuzz.evolve.resumed_runs");
-    m_forked = opts.metrics->counter("fuzz.evolve.forked_runs");
     m_bits = opts.metrics->gauge("fuzz.evolve.coverage_bits");
     mscope = std::make_unique<obs::Scope>(*opts.metrics);
   }
@@ -271,7 +263,7 @@ EvolveResult run_evolve_campaign(
 
     // Phase 2: execute (forked workers when jobs > 1; results per slot).
     const std::vector<std::vector<FamilyResult>> slot_results =
-        execute_plans(plans, opts.jobs, opts.snapshot, &snap_stats);
+        execute_plans(plans, opts.jobs, &snap_stats);
 
     // Phase 3: account in slot order, single-threaded.
     for (std::size_t slot = 0; slot < slot_results.size(); ++slot) {
@@ -279,9 +271,7 @@ EvolveResult run_evolve_campaign(
         ++result.stats.executed;
         if (mscope) {
           mscope->add(m_runs);
-          if (run.resumed) {
-            mscope->add(plans[slot].runway_family ? m_resumed : m_forked);
-          }
+          if (run.resumed) mscope->add(m_resumed);
         }
         if (signatures.insert(run.result.signature).second) {
           ++result.stats.novel;
@@ -335,7 +325,6 @@ EvolveResult run_evolve_campaign(
       result.stats.families = snap_stats.families;
       result.stats.cold_runs = snap_stats.cold_runs;
       result.stats.milestone_runs = snap_stats.milestone_runs;
-      result.stats.forked_runs = snap_stats.forked_runs;
       result.stats.elapsed_ms = static_cast<std::uint64_t>(
           std::chrono::duration_cast<std::chrono::milliseconds>(Clock::now() -
                                                                 start)
@@ -390,7 +379,6 @@ EvolveResult run_evolve_campaign(
   result.stats.families = snap_stats.families;
   result.stats.cold_runs = snap_stats.cold_runs;
   result.stats.milestone_runs = snap_stats.milestone_runs;
-  result.stats.forked_runs = snap_stats.forked_runs;
   if (opts.metrics != nullptr) {
     opts.metrics->set_gauge(m_bits,
                             static_cast<double>(result.stats.coverage_bits));

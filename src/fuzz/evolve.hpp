@@ -1,9 +1,9 @@
 // Coverage-guided evolutionary campaign: the successor to the swarm loop in
 // fuzzer.hpp. Each generation materializes `generation_size` mutation
 // plans (novelty-weighted parents from the live corpus, coverage-guided
-// mutators, fresh swarm samples mixed in), executes them with prefix
-// snapshots (fuzz/snapshot.hpp), and folds the results back into the
-// coverage map and corpus in slot order.
+// mutators, fresh swarm samples mixed in), grades them (runway families
+// from one engine, everything else cold; fuzz/snapshot.hpp), and folds the
+// results back into the coverage map and corpus in slot order.
 //
 // Determinism contract (pinned by tests/test_fuzz_evolve.cpp): the corpus
 // contents, coverage bitmap, failing set and shrunk repros are a pure
@@ -12,12 +12,12 @@
 //
 //  * plan materialization happens up front in the parent from per-slot
 //    seeded Rngs against the GENERATION-START coverage map;
-//  * execution is a pure function of each plan (cold, milestone and forked
-//    paths are bit-identical by the snapshot contract);
+//  * execution is a pure function of each plan (cold and milestone paths
+//    are bit-identical by the snapshot contract);
 //  * accounting walks results in slot order in the parent, single-threaded.
 //
 // Parallelism is `jobs` forked worker processes (slot round-robin), never
-// threads — which also keeps the nested fork-server forks trivially safe.
+// threads. A multithreaded host (the serve daemon) keeps jobs = 1.
 #pragma once
 
 #include <atomic>
@@ -44,7 +44,6 @@ struct EvolveOptions {
   /// Worker processes (forked). 1 = inline. Any value yields bit-identical
   /// campaign results; only wall-clock changes.
   int jobs = 1;
-  bool snapshot = true;  ///< share prefixes (false = every run cold)
   /// Probability that a slot draws a fresh (coverage-guided, best-of-K)
   /// swarm sample instead of mutating a corpus parent (exploration floor).
   double fresh_rate = 0.5;
@@ -83,7 +82,6 @@ struct EvolveStats {
   std::uint64_t families = 0;
   std::uint64_t cold_runs = 0;
   std::uint64_t milestone_runs = 0;  ///< runway grades served from one engine
-  std::uint64_t forked_runs = 0;     ///< crash-suffix grades served by fork
   std::uint64_t shrink_runs = 0;
   std::uint64_t elapsed_ms = 0;
   std::map<std::string, std::uint64_t> oracle_failures;
@@ -98,7 +96,7 @@ struct EvolveResult {
 };
 
 /// Run a coverage-guided campaign. Must be called from a single-threaded
-/// process when snapshot or jobs > 1 are in play (fork safety).
+/// process when jobs > 1 (fork safety).
 EvolveResult run_evolve_campaign(
     const EvolveOptions& options,
     const std::function<void(const std::string&)>& narrate = {});

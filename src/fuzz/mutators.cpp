@@ -75,13 +75,12 @@ MutationPlan crash_suffix(const FuzzConfig& parent, std::uint32_t max_family,
                           sim::Rng& rng) {
   MutationPlan plan;
   plan.mutator = "crash_suffix";
-  plan.crash_suffix_family = true;
   const sim::Time half = parent.steps / 2;
   const sim::Time lo = half / 2 + 1;
   // Candidate variants first: appending a late crash can raise the
   // convergence deadline and hence the normalized steps floor, so after
   // normalizing each candidate we level every variant to the family's max
-  // steps (a normalize fixed point) to restore the shared-stem invariant.
+  // steps (a normalize fixed point), so variants differ only in crashes.
   std::vector<FuzzConfig> candidates;
   std::uint64_t max_steps = parent.steps;
   for (std::uint32_t i = 0; i < max_family && half > lo; ++i) {
@@ -365,9 +364,9 @@ MutationPlan mutate(const FuzzConfig& raw_parent, std::uint32_t max_family,
   if (max_family == 0) max_family = 1;
   MutationPlan plan;
   // Family mutators (runway, crash_suffix) trade coverage-per-run for
-  // snapshot throughput and depth — their variants mostly revisit the
-  // parent's feature buckets. Keep them at 2/16 of draws so the guided
-  // single-run hops dominate the coverage race.
+  // depth (and runway for milestone throughput) — their variants mostly
+  // revisit the parent's feature buckets. Keep them at 2/16 of draws so
+  // the guided single-run hops dominate the coverage race.
   switch (rng.below(16)) {
     case 0: plan = reseed(parent, rng); break;
     case 1: plan = runway(parent, max_family, rng); break;

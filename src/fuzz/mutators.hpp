@@ -4,15 +4,14 @@
 // run_config accepts as-is (the property test re-normalizes every emitted
 // variant and asserts a fixed point).
 //
-// Two mutators emit FAMILIES rather than single variants, shaped so the
-// snapshot runner (fuzz/snapshot.hpp) can execute them from one shared
-// prefix:
+// Two mutators emit FAMILIES rather than single variants:
 //
 //  * runway: K copies of the parent differing only in `steps`, ascending —
-//    one engine, graded read-only at each milestone (no fork needed);
-//  * crash_suffix: K copies sharing everything incl. a common crash stem,
-//    each adding late crashes of its own — one engine advanced to just
-//    before the first divergent crash, then forked per variant.
+//    the family runner (fuzz/snapshot.hpp) grades them from one engine,
+//    read-only at each milestone;
+//  * crash_suffix: K copies sharing everything incl. the parent's crash
+//    plan, each adding one late crash of its own — the only mutator that
+//    adds crashes; its variants are graded cold.
 //
 // Mutators may consult the generation-start coverage map to steer toward
 // unseen (axis, value) buckets — e.g. prefer the scheduler kind whose
@@ -37,9 +36,6 @@ struct MutationPlan {
   /// Variants are the same config with strictly ascending `steps`
   /// (milestone-gradeable from one engine).
   bool runway_family = false;
-  /// Variants share every field and a common crash-plan stem, each adding
-  /// its own strictly-later crashes (fork-gradeable from one prefix).
-  bool crash_suffix_family = false;
 };
 
 /// Mutate `parent` (normalized in here; callers may pass raw configs).

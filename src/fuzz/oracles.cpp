@@ -329,7 +329,7 @@ FuzzConfig normalize(FuzzConfig config) {
 // --- ConfigRun: build once, advance incrementally, grade read-only --------
 
 struct ConfigRun::Impl {
-  FuzzConfig config;  ///< the (normalized) stem the system was built from
+  FuzzConfig config;  ///< the (normalized) config the system was built from
   RunCapture* capture = nullptr;
   sim::Engine engine;
   std::vector<sim::ComponentHost*> hosts;
@@ -555,10 +555,6 @@ ConfigRun::~ConfigRun() = default;
 sim::Engine& ConfigRun::engine() { return impl_->engine; }
 
 void ConfigRun::advance_to(sim::Time target) { impl_->engine.run_to(target); }
-
-void ConfigRun::schedule_crash(sim::ProcessId pid, sim::Time at) {
-  impl_->engine.schedule_crash(pid, at);
-}
 
 void ConfigRun::fill_capture() {
   if (impl_->capture == nullptr) return;

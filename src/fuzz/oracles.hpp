@@ -122,21 +122,18 @@ std::vector<RunFeature> run_features(const FuzzConfig& config,
                                      const RunResult& result);
 
 /// An incrementally executable graded run: the builder half of run_config,
-/// split out so prefix snapshots can share one constructed system between
-/// several variants. The contract that makes this sound:
+/// split out so a runway family can share one constructed system between
+/// its milestones. The contract that makes this sound:
 ///
 ///  * advance_to(T) is Engine::run_to — splitting a run into any milestone
 ///    sequence is bit-identical to the cold run;
-///  * schedule_crash injects a future crash mid-run; nothing observes a
-///    pending crash before its tick, so injecting at the snapshot point is
-///    bit-identical to scheduling it before init() (the cold path);
 ///  * grade() is read-only: grading at a milestone and then advancing
 ///    further leaves the engine exactly where a never-graded run would be.
 ///
 /// `config` must already be normalized; it provides the built system
-/// (population, adversaries, common crash plan). grade() takes the variant
-/// config actually being graded — same built fields, its own steps and
-/// crash plan — so one prefix serves a whole snapshot family.
+/// (population, adversaries, crash plan). grade() takes the variant config
+/// actually being graded — same built fields, its own steps — so one
+/// engine serves a whole runway family.
 class ConfigRun {
  public:
   explicit ConfigRun(const FuzzConfig& config, RunCapture* capture = nullptr);
@@ -147,8 +144,6 @@ class ConfigRun {
   sim::Engine& engine();
   /// Advance to tick `target` (no-op if already there or fully crashed).
   void advance_to(sim::Time target);
-  /// Inject a crash for a tick strictly after now() (fork-resume path).
-  void schedule_crash(sim::ProcessId pid, sim::Time at);
   /// Grade the current engine state as a completed run of `graded`.
   RunResult grade(const FuzzConfig& graded) const;
   /// Copy retained trace/end-time into the RunCapture (once, at the end).

@@ -1,13 +1,11 @@
 #include "fuzz/snapshot.hpp"
 
-#include <algorithm>
 #include <cerrno>
 
 #include "obs/metrics.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #define WFD_FUZZ_HAVE_FORK 1
-#include <sys/wait.h>
 #include <unistd.h>
 #else
 #define WFD_FUZZ_HAVE_FORK 0
@@ -195,47 +193,6 @@ bool verify_runway(const std::vector<FuzzConfig>& variants) {
   return true;
 }
 
-/// Longest common crash-plan prefix of the family.
-std::vector<CrashPlan> common_stem(const std::vector<FuzzConfig>& variants) {
-  std::vector<CrashPlan> stem = variants[0].crashes;
-  for (const FuzzConfig& variant : variants) {
-    std::size_t shared = 0;
-    while (shared < stem.size() && shared < variant.crashes.size() &&
-           stem[shared].pid == variant.crashes[shared].pid &&
-           stem[shared].at == variant.crashes[shared].at) {
-      ++shared;
-    }
-    stem.resize(shared);
-  }
-  return stem;
-}
-
-/// Family-shape check for crash-suffix: identical except crash plans, all
-/// normalize-stable, and every divergent crash strictly after the shared
-/// prefix point S (so injecting it at S is injecting a FUTURE crash).
-bool verify_crash_suffix(const std::vector<FuzzConfig>& variants,
-                         const std::vector<CrashPlan>& stem,
-                         sim::Time* prefix_end) {
-  sim::Time min_extra = sim::kNever;
-  for (const FuzzConfig& variant : variants) {
-    FuzzConfig a = variant;
-    FuzzConfig b = variants[0];
-    a.crashes.clear();
-    b.crashes.clear();
-    if (config_to_json(a, 0) != config_to_json(b, 0)) return false;
-    if (config_to_json(normalize(variant), 0) !=
-        config_to_json(variant, 0)) {
-      return false;
-    }
-    for (std::size_t i = stem.size(); i < variant.crashes.size(); ++i) {
-      min_extra = std::min(min_extra, variant.crashes[i].at);
-    }
-  }
-  if (min_extra == sim::kNever || min_extra < 2) return false;
-  *prefix_end = min_extra - 1;
-  return true;
-}
-
 std::vector<FamilyResult> run_cold(const std::vector<FuzzConfig>& variants,
                                    SnapshotStats* stats) {
   std::vector<FamilyResult> results;
@@ -271,74 +228,6 @@ std::vector<FamilyResult> run_runway(const std::vector<FuzzConfig>& variants,
   return results;
 }
 
-#if WFD_FUZZ_HAVE_FORK
-/// Fork-server execution: parent holds the engine at the shared prefix
-/// point; each child injects its variant's divergent crashes and finishes
-/// the run. Returns false if any child failed (caller falls back cold).
-bool run_forked(const std::vector<FuzzConfig>& variants,
-                const std::vector<CrashPlan>& stem, sim::Time prefix_end,
-                std::vector<FamilyResult>* results, SnapshotStats* stats) {
-  // The stem config: the family's shared fields with only the shared
-  // crashes. It is what the prefix engine is built from; every variant's
-  // own crashes are injected post-fork.
-  FuzzConfig stem_config = variants[0];
-  stem_config.crashes = stem;
-
-  EvolveCapture cap;
-  ConfigRun run(stem_config, &cap.capture);
-  run.advance_to(prefix_end);
-
-  for (const FuzzConfig& variant : variants) {
-    int fds[2];
-    if (::pipe(fds) != 0) return false;
-    const pid_t child = ::fork();
-    if (child < 0) {
-      ::close(fds[0]);
-      ::close(fds[1]);
-      return false;
-    }
-    if (child == 0) {
-      // Child: the engine is at the prefix point, copy-on-write. Inject
-      // this variant's divergent crashes (all strictly in the future),
-      // finish, grade, ship, vanish without running atexit handlers.
-      ::close(fds[0]);
-      for (std::size_t i = stem.size(); i < variant.crashes.size(); ++i) {
-        run.schedule_crash(variant.crashes[i].pid, variant.crashes[i].at);
-      }
-      run.advance_to(variant.steps);
-      FamilyResult fr;
-      fr.config = variant;
-      fr.result = run.grade(variant);
-      finish_buckets(variant, fr.result, cap.registry.snapshot(), &fr);
-      fr.resumed = true;
-      std::string payload;
-      wire::put_family_result(&payload, fr);
-      const bool ok = wire::write_all(fds[1], payload);
-      ::close(fds[1]);
-      ::_exit(ok ? 0 : 1);
-    }
-    // Parent: drain the pipe (children are short-lived and payloads small;
-    // reading to EOF before waitpid avoids any write-side stall).
-    ::close(fds[1]);
-    std::string payload;
-    const bool read_ok = wire::read_all(fds[0], &payload);
-    ::close(fds[0]);
-    int status = 0;
-    ::waitpid(child, &status, 0);
-    FamilyResult fr;
-    wire::Reader reader(std::move(payload));
-    if (!read_ok || !WIFEXITED(status) || WEXITSTATUS(status) != 0 ||
-        !reader.get_family_result(&fr)) {
-      return false;
-    }
-    results->push_back(std::move(fr));
-    if (stats != nullptr) ++stats->forked_runs;
-  }
-  if (stats != nullptr) ++stats->cold_runs;  // the shared prefix itself
-  return true;
-}
-#endif
-
 }  // namespace
 
 FamilyResult cold_family_run(const FuzzConfig& raw) {
@@ -352,7 +241,6 @@ FamilyResult cold_family_run(const FuzzConfig& raw) {
 }
 
 std::vector<FamilyResult> run_family(const MutationPlan& plan,
-                                     bool allow_snapshot,
                                      SnapshotStats* stats) {
   if (stats != nullptr) ++stats->families;
   std::vector<FuzzConfig> variants;
@@ -360,29 +248,8 @@ std::vector<FamilyResult> run_family(const MutationPlan& plan,
   for (const FuzzConfig& variant : plan.variants) {
     variants.push_back(normalize(variant));
   }
-  if (variants.empty()) return {};
-  if (allow_snapshot && variants.size() >= 2) {
-    if (plan.runway_family && verify_runway(variants)) {
-      return run_runway(variants, stats);
-    }
-#if WFD_FUZZ_HAVE_FORK
-    if (plan.crash_suffix_family) {
-      const std::vector<CrashPlan> stem = common_stem(variants);
-      sim::Time prefix_end = 0;
-      if (verify_crash_suffix(variants, stem, &prefix_end)) {
-        std::vector<FamilyResult> results;
-        results.reserve(variants.size());
-        SnapshotStats speculative;  // only committed on full success
-        if (run_forked(variants, stem, prefix_end, &results, &speculative)) {
-          if (stats != nullptr) {
-            stats->cold_runs += speculative.cold_runs;
-            stats->forked_runs += speculative.forked_runs;
-          }
-          return results;
-        }
-      }
-    }
-#endif
+  if (plan.runway_family && variants.size() >= 2 && verify_runway(variants)) {
+    return run_runway(variants, stats);
   }
   return run_cold(variants, stats);
 }

@@ -1,31 +1,21 @@
-// Prefix-snapshot execution of mutation families: instead of replaying
-// every variant from t=0, share the common schedule prefix once.
+// Family execution for the evolve loop: grade every variant of a mutation
+// plan, sharing one engine where the family shape allows it.
 //
 //  * runway families (variants identical except strictly ascending `steps`)
-//    need no snapshot at all: one engine advances through the milestones
-//    and is graded READ-ONLY at each (ConfigRun::grade is const), so
-//    grading milestone i and continuing is bit-identical to a cold run of
-//    milestone i+1 — K runs for ~1 engine-run of the longest variant;
+//    advance one engine through the milestones and grade it READ-ONLY at
+//    each (ConfigRun::grade is const), so grading milestone i and
+//    continuing is bit-identical to a cold run of milestone i+1 — K runs
+//    for ~1 engine-run of the longest variant;
 //
-//  * crash-suffix families (variants identical except each appends its own
-//    late crashes to a common stem) use the fork-server trick: the parent
-//    builds one engine, schedules the stem crashes, advances to
-//    S = min(divergent crash time) - 1, then fork()s per variant; the child
-//    injects its crashes (Engine::schedule_crash is legal mid-run, and
-//    nothing observes a pending crash before its tick), advances to the
-//    end, grades, ships the result + coverage buckets back over a pipe and
-//    _exit()s. OS copy-on-write is the state snapshot — no engine copy
-//    ever happens.
+//  * every other plan (single variants and crash_suffix families alike) is
+//    graded cold, each variant replayed from t=0.
 //
-// Both paths are pinned bit-identical to cold replay (result, trace stream
-// and obs counters) by tests/test_fuzz_evolve.cpp over the whole
-// conformance-vector corpus; any verification failure (family shape not as
-// declared, fork/pipe error, child death) falls back to cold runs, so a
-// snapshot can be slower than advertised but never wrong.
-//
-// Fork safety: callers must be single-threaded when allow_snapshot is true
-// (the evolve campaign is; its parallelism is --jobs worker PROCESSES, not
-// threads).
+// The milestone path is pinned bit-identical to cold replay (result, trace
+// stream and obs counters) by tests/test_fuzz_evolve.cpp over the whole
+// conformance-vector corpus; a family whose shape is not as declared runs
+// cold, so a family can be slower than advertised but never wrong. Both
+// paths run entirely on the calling thread, so any number of threads may
+// grade families at once (the serve daemon's workers do).
 #pragma once
 
 #include <cstdint>
@@ -45,22 +35,19 @@ struct FamilyResult {
   FuzzConfig config;  ///< the normalized variant that was graded
   RunResult result;
   std::vector<std::uint32_t> buckets;
-  bool resumed = false;  ///< served from a shared prefix, not a cold run
+  bool resumed = false;  ///< a runway milestone past the first, not cold
 };
 
 struct SnapshotStats {
   std::uint64_t families = 0;
   std::uint64_t cold_runs = 0;       ///< full replays from t=0
   std::uint64_t milestone_runs = 0;  ///< runway grades past the first
-  std::uint64_t forked_runs = 0;     ///< crash-suffix children served
 };
 
-/// Grade every variant of `plan`, sharing prefixes where the family shape
-/// allows (and `allow_snapshot` permits). Results are in plan order. Pure
-/// function of the plan: cold, milestone and forked execution all yield
-/// bit-identical FamilyResults.
+/// Grade every variant of `plan`: a verified runway family from one engine,
+/// anything else cold. Results are in plan order. Pure function of the
+/// plan: milestone and cold execution yield bit-identical FamilyResults.
 std::vector<FamilyResult> run_family(const MutationPlan& plan,
-                                     bool allow_snapshot,
                                      SnapshotStats* stats);
 
 /// Cold-run a single config with the evolve loop's standard capture (no
@@ -68,9 +55,9 @@ std::vector<FamilyResult> run_family(const MutationPlan& plan,
 FamilyResult cold_family_run(const FuzzConfig& config);
 
 // --- wire helpers ---------------------------------------------------------
-// Length-prefixed little-endian serialization used on the fork-server pipes
-// and re-used verbatim by the --jobs worker shards, so a FamilyResult reads
-// back identically no matter which process boundary it crossed.
+// Length-prefixed little-endian serialization used on the --jobs worker
+// shards' pipes, so a FamilyResult reads back identically whichever process
+// graded it.
 namespace wire {
 
 void put_u64(std::string* out, std::uint64_t value);

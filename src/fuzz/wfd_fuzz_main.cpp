@@ -67,7 +67,6 @@ struct Cli {
   std::uint32_t gen_size = 16;
   std::uint32_t max_family = 6;
   int jobs = 1;
-  bool snapshot = true;
   std::string corpus_dir;
 };
 
@@ -97,11 +96,10 @@ struct Cli {
       "                    slots, each possibly a multi-variant family)\n"
       "  --generations N   evolve: generations per campaign (default 8)\n"
       "  --gen-size N      evolve: mutation slots per generation (default 16)\n"
-      "  --max-family N    evolve: max variants per snapshot family (default 6)\n"
+      "  --max-family N    evolve: max variants per mutation family (default 6)\n"
       "  --jobs N          evolve: forked worker processes (default 1);\n"
       "                    results are bit-identical at any width\n"
       "  --corpus-dir DIR  evolve: load/save the on-disk corpus here\n"
-      "  --no-snapshot     evolve: disable prefix snapshots (cold runs only)\n"
       "  --quiet           suppress per-run narration\n"
       "  --progress-json F stream NDJSON progress records (one per batch,\n"
       "                    with a metrics-registry snapshot) to F\n"
@@ -174,8 +172,6 @@ Cli parse(int argc, char** argv) {
       cli.jobs = util::flag_int("wfd_fuzz", arg, value(), 1, 4096);
     } else if (arg == "--corpus-dir") {
       cli.corpus_dir = value();
-    } else if (arg == "--no-snapshot") {
-      cli.snapshot = false;
     } else if (arg == "--expect-failure") {
       cli.expect_failure = true;
     } else if (arg == "--quiet") {
@@ -269,7 +265,6 @@ int evolve_main(const Cli& cli) {
   options.generation_size = cli.gen_size;
   options.max_family = cli.max_family;
   options.jobs = cli.jobs;
-  options.snapshot = cli.snapshot;
   options.targets = resolve_targets(cli.target_specs);
   options.corpus_dir = cli.corpus_dir;
   options.shrink = cli.shrink;
@@ -300,7 +295,7 @@ int evolve_main(const Cli& cli) {
 
     std::cout << "evolve seed=" << seed << ": " << stats.executed << " runs ("
               << stats.cold_runs << " cold, " << stats.milestone_runs
-              << " milestone, " << stats.forked_runs << " forked), "
+              << " milestone), "
               << stats.failing << " failing, " << stats.coverage_bits
               << " coverage bits, corpus " << stats.corpus_entries << " ("
               << stats.novel << " novel), " << stats.shrink_runs
@@ -320,7 +315,6 @@ int evolve_main(const Cli& cli) {
         .field("families", stats.families)
         .field("cold_runs", stats.cold_runs)
         .field("milestone_runs", stats.milestone_runs)
-        .field("forked_runs", stats.forked_runs)
         .field("shrink_runs", stats.shrink_runs)
         .field("elapsed_ms", stats.elapsed_ms)
         .field("repros", campaign.repros.size());
@@ -408,10 +402,9 @@ int scenario_main(const Cli& cli) {
 
 int main(int argc, char** argv) {
 #ifdef SIGPIPE
-  // The evolve loop's fork server and --jobs workers ship results over
-  // pipes; a reader that died mid-campaign must surface as an EPIPE write
-  // error (cold fallback / stripe re-run), never as a process-killing
-  // SIGPIPE.
+  // The evolve loop's --jobs workers ship results over pipes; a reader
+  // that died mid-campaign must surface as an EPIPE write error (stripe
+  // re-run), never as a process-killing SIGPIPE.
   std::signal(SIGPIPE, SIG_IGN);
 #endif
   const Cli cli = parse(argc, argv);

@@ -368,11 +368,9 @@ std::string execute_request(const Request& request,
       options.generations = spec.generations;
       options.generation_size = spec.generation_size;
       options.max_family = spec.max_family;
-      // A multithreaded daemon must not fork evolve workers or snapshot
-      // servers; both settings are bit-identical to the parallel paths by
-      // the snapshot/jobs contracts, so the determinism pin still holds.
+      // A multithreaded daemon must not fork evolve workers; jobs = 1 is
+      // bit-identical to any other width by the jobs contract.
       options.jobs = 1;
-      options.snapshot = false;
       options.targets = spec.targets;
       if (!spec.corpus.empty() && !hooks.corpus_root.empty()) {
         options.corpus_dir = hooks.corpus_root + "/" + spec.corpus;

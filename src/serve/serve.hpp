@@ -90,9 +90,10 @@ struct CampaignSpec {
 };
 
 /// kEvolve: a coverage-guided campaign (fuzz::run_evolve_campaign) request.
-/// The daemon forces jobs=1 and snapshot=false — a multithreaded process
-/// must not fork workers — which is bit-identical to the snapshotted run by
-/// the snapshot contract.
+/// The daemon forces jobs=1 — a multithreaded process must not fork
+/// workers — which is bit-identical to any other width by the jobs
+/// contract. Runway families are graded from one engine on the worker
+/// thread, exactly as wfd_fuzz grades them.
 struct EvolveSpec {
   std::uint64_t master_seed = 1;
   std::uint64_t generations = 4;

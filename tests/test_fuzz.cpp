@@ -129,6 +129,11 @@ TEST(FuzzConfigJson, RoundTripsBitExactly) {
 TEST(FuzzReproJson, RoundTripsExpectedOutcome) {
   ReproCase repro;
   repro.config = normalize(broken_fork_based_config());
+  // More significant digits than `<<` prints (6): they must come back as
+  // the same doubles, not merely the same text.
+  repro.config.geo_p = 0.46187419779114403;
+  repro.config.loss_rate = 0.12345678901234567;
+  repro.config.dup_rate = 0.098765432109876543;
   repro.oracle = "wx_safety";
   repro.at = 31337;
   repro.detail = "detail text with \"quotes\" and \\ backslash";
@@ -140,6 +145,9 @@ TEST(FuzzReproJson, RoundTripsExpectedOutcome) {
   EXPECT_EQ(parsed.at, repro.at);
   EXPECT_EQ(parsed.detail, repro.detail);
   EXPECT_EQ(config_to_json(parsed.config), config_to_json(repro.config));
+  EXPECT_EQ(parsed.config.geo_p, repro.config.geo_p);
+  EXPECT_EQ(parsed.config.loss_rate, repro.config.loss_rate);
+  EXPECT_EQ(parsed.config.dup_rate, repro.config.dup_rate);
 }
 
 TEST(FuzzJson, RejectsMalformedInput) {

@@ -1,10 +1,11 @@
 // The coverage-guided campaign's soundness contracts, pinned hard:
 //
-//  * prefix snapshots are bit-identical to cold replay — a run split into
-//    milestones (runway families) or resumed in a forked child (crash-suffix
-//    families) produces the same signature, stats, failures, retained trace
-//    and obs counters as running the variant from t=0, on every conformance
-//    vector;
+//  * runway milestone grading is bit-identical to cold replay — a run split
+//    into milestones produces the same signature, stats, failures, retained
+//    trace and obs counters as running the variant from t=0, on every
+//    conformance vector, and a runway family drawn from the mutator grades
+//    each variant exactly as a cold run does;
+//  * a FamilyResult crosses the --jobs shard wire with its config exact;
 //  * the corpus is order-independent — merging shard directories is a file
 //    union and loading admits the same set regardless of who wrote first;
 //  * campaign results are a pure function of the options, independent of
@@ -157,47 +158,71 @@ TEST(EvolveSnapshot, ResumeIsBitIdenticalToColdOnEveryConformanceVector) {
   }
 }
 
-/// Find a deterministic crash-suffix family by walking the mutator over
-/// swarm parents with a fixed rng (the same path a campaign takes).
-MutationPlan find_crash_suffix_family() {
+/// Find a deterministic runway family by walking the mutator over swarm
+/// parents with a fixed rng (the same path a campaign takes).
+MutationPlan find_runway_family() {
   sim::Rng rng(42);
   CoverageMap coverage;
   for (int i = 0; i < 400; ++i) {
     const FuzzConfig parent =
         normalize(sample_config(7, i, legal_targets()));
     MutationPlan plan = mutate(parent, 6, rng, coverage, {});
-    if (plan.crash_suffix_family && plan.variants.size() >= 2) return plan;
+    if (plan.runway_family && plan.variants.size() >= 2) return plan;
   }
   return {};
 }
 
-TEST(EvolveSnapshot, ForkedCrashInjectionEqualsColdReplay) {
-  const MutationPlan plan = find_crash_suffix_family();
-  ASSERT_GE(plan.variants.size(), 2u) << "no crash-suffix family found";
+TEST(EvolveSnapshot, RunwayFamilyEqualsColdReplay) {
+  const MutationPlan plan = find_runway_family();
+  ASSERT_GE(plan.variants.size(), 2u) << "no runway family found";
 
   SnapshotStats stats;
-  const std::vector<FamilyResult> forked = run_family(plan, true, &stats);
-  ASSERT_EQ(forked.size(), plan.variants.size());
-#if defined(__unix__) || defined(__APPLE__)
-  EXPECT_GT(stats.forked_runs, 0u) << "fork path never engaged";
-#endif
+  const std::vector<FamilyResult> family = run_family(plan, &stats);
+  ASSERT_EQ(family.size(), plan.variants.size());
+  EXPECT_EQ(stats.milestone_runs, plan.variants.size() - 1)
+      << "milestone path never engaged";
 
-  for (std::size_t i = 0; i < forked.size(); ++i) {
+  for (std::size_t i = 0; i < family.size(); ++i) {
     const FamilyResult cold = cold_family_run(plan.variants[i]);
     const std::string label = "variant " + std::to_string(i);
-    EXPECT_EQ(forked[i].result.signature, cold.result.signature) << label;
-    expect_same_stats(forked[i].result.stats, cold.result.stats, label);
-    ASSERT_EQ(forked[i].result.failures.size(), cold.result.failures.size())
+    EXPECT_EQ(family[i].result.signature, cold.result.signature) << label;
+    expect_same_stats(family[i].result.stats, cold.result.stats, label);
+    ASSERT_EQ(family[i].result.failures.size(), cold.result.failures.size())
         << label;
     for (std::size_t f = 0; f < cold.result.failures.size(); ++f) {
-      EXPECT_EQ(forked[i].result.failures[f].oracle,
+      EXPECT_EQ(family[i].result.failures[f].oracle,
                 cold.result.failures[f].oracle)
           << label;
-      EXPECT_EQ(forked[i].result.failures[f].at, cold.result.failures[f].at)
+      EXPECT_EQ(family[i].result.failures[f].at, cold.result.failures[f].at)
+          << label;
+      EXPECT_EQ(family[i].result.failures[f].detail,
+                cold.result.failures[f].detail)
           << label;
     }
-    EXPECT_EQ(forked[i].buckets, cold.buckets) << label;
+    EXPECT_EQ(family[i].buckets, cold.buckets) << label;
   }
+}
+
+TEST(EvolveWire, FamilyResultKeepsConfigDoublesExact) {
+  // Values with more significant digits than `<<` prints (6), so a config
+  // rendered at that precision comes back as a different double.
+  FuzzConfig config = sample_config(17, 3, legal_targets());
+  config.geo_p = 0.46187419779114403;
+  config.loss_rate = 0.12345678901234567;
+  config.dup_rate = 0.098765432109876543;
+  const FamilyResult sent = cold_family_run(config);
+
+  std::string bytes;
+  wire::put_family_result(&bytes, sent);
+  wire::Reader reader(bytes);
+  FamilyResult received;
+  ASSERT_TRUE(reader.get_family_result(&received));
+  EXPECT_TRUE(reader.at_end());
+  EXPECT_EQ(received.config.geo_p, sent.config.geo_p);
+  EXPECT_EQ(received.config.loss_rate, sent.config.loss_rate);
+  EXPECT_EQ(received.config.dup_rate, sent.config.dup_rate);
+  EXPECT_EQ(received.result.signature, sent.result.signature);
+  EXPECT_EQ(received.buckets, sent.buckets);
 }
 
 TEST(EvolveCoverage, FeatureHashIsStableAcrossTransitsAndCaptureModes) {
@@ -368,29 +393,21 @@ TEST(EvolveCampaign, JobCountDoesNotChangeTheOutcome) {
   options.jobs = 8;
   const EvolveResult eight = run_evolve_campaign(options);
 
-  for (const EvolveResult* other : {&two, &eight}) {
+  // The campaign grades at least one runway family from one engine, so the
+  // workers' milestone results cross the shard wire too.
+  EXPECT_GT(one.stats.milestone_runs, 0u);
+  for (const EvolveResult* other : {&one, &two, &eight}) {
     EXPECT_EQ(one.stats.executed, other->stats.executed);
     EXPECT_EQ(one.stats.failing, other->stats.failing);
     EXPECT_EQ(one.stats.novel, other->stats.novel);
     EXPECT_EQ(one.stats.coverage_bits, other->stats.coverage_bits);
     EXPECT_EQ(one.stats.corpus_entries, other->stats.corpus_entries);
+    EXPECT_EQ(one.stats.milestone_runs, other->stats.milestone_runs);
+    EXPECT_EQ(other->stats.cold_runs,
+              other->stats.executed - other->stats.milestone_runs);
     EXPECT_EQ(one.corpus_signatures, other->corpus_signatures);
     EXPECT_EQ(one.repros.size(), other->repros.size());
   }
-}
-
-TEST(EvolveCampaign, SnapshotModeDoesNotChangeTheOutcome) {
-  EvolveOptions options = small_campaign();
-  const EvolveResult snap = run_evolve_campaign(options);
-  options.snapshot = false;
-  const EvolveResult cold = run_evolve_campaign(options);
-  EXPECT_EQ(snap.stats.executed, cold.stats.executed);
-  EXPECT_EQ(snap.stats.failing, cold.stats.failing);
-  EXPECT_EQ(snap.stats.coverage_bits, cold.stats.coverage_bits);
-  EXPECT_EQ(snap.corpus_signatures, cold.corpus_signatures);
-  // And the campaign actually used the snapshot paths in snapshot mode.
-  EXPECT_GT(snap.stats.milestone_runs + snap.stats.forked_runs, 0u);
-  EXPECT_EQ(cold.stats.milestone_runs + cold.stats.forked_runs, 0u);
 }
 
 TEST(EvolveCampaign, CoverageGuidanceBeatsSwarmAtEqualRunBudget) {

@@ -4,7 +4,7 @@
 // identity, disconnect cancellation, drain semantics, and the headline
 // determinism pin: a request submitted through the socket yields a result
 // payload bit-identical to execute_request() called directly, across three
-// conformance vectors plus raw-config and campaign submissions. The
+// conformance vectors plus raw-config, campaign and evolve submissions. The
 // end-to-end suite against the real wfd_serve binary (SIGTERM, process
 // lifecycle) lives in tools/wfd_client.py --e2e.
 #include <gtest/gtest.h>
@@ -204,6 +204,22 @@ TEST(ParseSubmit, CacheKeyIsCanonical) {
   EXPECT_EQ(cache_key(a), cache_key(b));
   EXPECT_NE(cache_key(a).find("run|"), std::string::npos);
 
+  // Runs whose geo_p differ only in the 7th significant digit are
+  // different experiments, so they must not share a cached payload.
+  Request c;
+  Request d;
+  ASSERT_TRUE(parse_submit(
+      parse_doc("{\"type\":\"submit\",\"kind\":\"run\",\"config\":"
+                "{\"seed\":9,\"delay\":\"geometric\",\"geo_p\":0.4618741}}"),
+      &c, &error))
+      << error;
+  ASSERT_TRUE(parse_submit(
+      parse_doc("{\"type\":\"submit\",\"kind\":\"run\",\"config\":"
+                "{\"seed\":9,\"delay\":\"geometric\",\"geo_p\":0.4618742}}"),
+      &d, &error))
+      << error;
+  EXPECT_NE(cache_key(c), cache_key(d));
+
   // Evolve is stateful (its on-disk corpus advances): never cached.
   Request evolve;
   ASSERT_TRUE(parse_submit(
@@ -389,6 +405,30 @@ TEST_F(ServeTest, SocketResultsAreBitIdenticalToDirectExecution) {
         "\"master_seed\":9,\"targets\":\"legal\"}");
     pin(submit);
   }
+}
+
+// An evolve job grades its runway families from one engine on the worker
+// thread, exactly as wfd_fuzz does, and its payload through the socket
+// equals direct execution. Seed 5's 3 x 8 legal campaign draws runway
+// families (EvolveCampaign.JobCountDoesNotChangeTheOutcome pins that).
+TEST_F(ServeTest, EvolveMilestonesThroughTheSocketEqualDirectExecution) {
+  boot();
+  TestClient client;
+  ASSERT_TRUE(client.connect_unix(sock_path_));
+  const Json submit = parse_doc(
+      "{\"type\":\"submit\",\"kind\":\"evolve\",\"generations\":3,"
+      "\"gen_size\":8,\"max_family\":4,\"master_seed\":5,"
+      "\"targets\":\"legal\",\"shrink\":false}");
+  Request request;
+  std::string error;
+  ASSERT_TRUE(parse_submit(submit, &request, &error)) << error;
+  const std::string direct = execute_request(request, ExecuteHooks{});
+
+  ASSERT_TRUE(client.send(submit.dump(0)));
+  std::string line;
+  ASSERT_TRUE(client.next_of_type("result", &line));
+  EXPECT_EQ(payload_of(line), direct) << line;
+  EXPECT_GT(counter_value("fuzz.evolve.resumed_runs"), 0u);
 }
 
 TEST_F(ServeTest, CacheHitReturnsIdenticalBytesInstantly) {
